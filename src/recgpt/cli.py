@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from . import checkpoint
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, parse_config
 from .data import Catalog, DataError, SplitDataset, build_splits, ingest_tsv, kcore_filter
-from .evaluation import EvalError, evaluate, mn_grid, sweep_k, sweep_mn
-from .model import ModelParams
+from .evaluation import MODES, EvalError, evaluate, mn_grid, sweep_k, sweep_mn
+from .model import HyperParams, ModelParams
 from .numerics import NumericsError
 from .training import (
     PromptEnhancedSequence,
@@ -43,34 +44,58 @@ def run_dir(cfg: RunConfig, out_override=None) -> Path:
     return base / cfg.config_hash()[:12]
 
 
-def _artifact_path(cfg: RunConfig, name: str, out=None, force=False,
-                   for_write=True) -> Path:
-    d = run_dir(cfg, out)
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / name
-    if for_write and path.exists() and not force:
-        raise StageError(f"{path} already exists; pass --force to overwrite")
-    return path
+def _outputs(cfg: RunConfig, args, *names: str) -> list[Path]:
+    """A stage's output paths; refuses, before the stage does any work, to
+    overwrite one that exists unless --force is given."""
+    paths = [run_dir(cfg, args.out) / name for name in names]
+    for path in paths:
+        if path.exists() and not args.force:
+            raise StageError(f"{path} already exists; pass --force to overwrite")
+    return paths
 
 
-def _check_upstream(manifest: dict, cfg: RunConfig, stage: str) -> None:
+def _load_checked(path, cfg: RunConfig, stage: str) -> tuple[dict, dict]:
+    """checkpoint.load, refusing an artifact made under another config."""
+    tensors, manifest = checkpoint.load(path)
     if manifest.get("config_hash") != cfg.config_hash():
         raise StageError(
             f"stage {stage}: artifact was produced under a different config "
             f"(hash {manifest.get('config_hash', '?')[:12]} != {cfg.config_hash()[:12]})"
         )
+    return tensors, manifest
 
 
 # ---------------------------------------------------------------------------
 # artifact serialization
 # ---------------------------------------------------------------------------
 
+def _pack(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged integer rows -> (flat values, offsets with row i at [o[i], o[i+1]))."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(r) for r in rows])
+    flat = (np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]) if rows
+            else np.zeros(0, dtype=np.int64))
+    return flat, offsets
+
+
+def _unpack(path, flat: np.ndarray, offsets: np.ndarray, n_rows: int, n_values: int,
+            what: str) -> list[list[int]]:
+    """Inverse of _pack for n_rows rows of ids in [0, n_values); raises
+    CheckpointError on offsets that do not start at 0, go down or do not end
+    at the flat length, and on any id out of range."""
+    if flat.ndim != 1 or flat.dtype.kind != "i" or (
+            flat.size and (flat.min() < 0 or flat.max() >= n_values)):
+        raise CheckpointError(f"{path}: {what} outside [0, {n_values})")
+    if (offsets.shape != (n_rows + 1,) or offsets[0] != 0 or np.any(np.diff(offsets) < 0)
+            or offsets[-1] != flat.shape[0]):
+        raise CheckpointError(f"{path}: offsets do not split {flat.shape[0]} {what} values "
+                              f"into {n_rows} rows")
+    bounds = offsets.tolist()
+    return [flat[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def save_dataset(path, dataset: SplitDataset, cfg: RunConfig) -> None:
-    seq_flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in dataset.sequences]) \
-        if dataset.sequences and any(dataset.sequences) else np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(dataset.n_users + 1, dtype=np.int64)
-    for i, s in enumerate(dataset.sequences):
-        offsets[i + 1] = offsets[i] + len(s)
+    seq_flat, offsets = _pack(dataset.sequences)
     checkpoint.save(
         path,
         {
@@ -90,14 +115,14 @@ def save_dataset(path, dataset: SplitDataset, cfg: RunConfig) -> None:
 
 
 def load_dataset(path, cfg: RunConfig) -> tuple[SplitDataset, dict]:
-    tensors, manifest = checkpoint.load(path)
-    _check_upstream(manifest, cfg, "preprocess")
-    offsets = tensors["seq_offsets"]
-    flat = tensors["seq_flat"]
-    sequences = [flat[offsets[i]:offsets[i + 1]].tolist()
-                 for i in range(len(offsets) - 1)]
+    tensors, manifest = _load_checked(path, cfg, "preprocess")
     catalog = Catalog(users=list(manifest["meta"]["users"]),
                       items=list(manifest["meta"]["items"]))
+    sequences = _unpack(path, tensors["seq_flat"], tensors["seq_offsets"],
+                        catalog.n_users, catalog.n_items, "item id")
+    for name in ("valid_target", "test_target"):
+        _unpack(path, tensors[name], np.asarray([0, catalog.n_users]), 1,
+                catalog.n_items, name)
     dataset = SplitDataset(sequences, tensors["valid_target"], tensors["test_target"],
                            catalog, max_len=int(manifest["meta"]["max_len"]))
     return dataset, manifest
@@ -125,10 +150,7 @@ def save_model(path, params: ModelParams, stage: str, cfg: RunConfig,
 
 
 def load_model(path, cfg: RunConfig, stage: str, hyper=None) -> tuple[ModelParams, dict]:
-    from .model import HyperParams
-
-    tensors, manifest = checkpoint.load(path)
-    _check_upstream(manifest, cfg, stage)
+    tensors, manifest = _load_checked(path, cfg, stage)
     meta = manifest["meta"]
     hp = hyper or HyperParams(**meta["hyper"])
     params = ModelParams(meta["n_users"], meta["n_items"], hp)
@@ -138,30 +160,23 @@ def load_model(path, cfg: RunConfig, stage: str, hyper=None) -> tuple[ModelParam
 
 def save_prompts(path, prompts: list[PromptEnhancedSequence], K: int,
                  cfg: RunConfig, upstream: dict) -> None:
-    flat_items = np.concatenate([np.asarray(p.items, dtype=np.int64) for p in prompts]) \
-        if prompts and any(p.items for p in prompts) else np.zeros(0, dtype=np.int64)
-    flat_segs = np.concatenate([np.asarray(p.segments, dtype=np.int64) for p in prompts]) \
-        if prompts and any(p.items for p in prompts) else np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(len(prompts) + 1, dtype=np.int64)
-    for i, p in enumerate(prompts):
-        offsets[i + 1] = offsets[i] + len(p.items)
-    checkpoint.save(path, {"items": flat_items, "segments": flat_segs, "offsets": offsets},
+    items, offsets = _pack([p.items for p in prompts])
+    segments, _ = _pack([p.segments for p in prompts])
+    checkpoint.save(path, {"items": items, "segments": segments, "offsets": offsets},
                     stage="gen-prompts", config_hash=cfg.config_hash(),
                     meta={"K": K, "n_users": len(prompts), "upstream": upstream})
 
 
 def load_prompts(path, cfg: RunConfig) -> tuple[list[PromptEnhancedSequence], dict]:
-    tensors, manifest = checkpoint.load(path)
-    _check_upstream(manifest, cfg, "gen-prompts")
-    offsets = tensors["offsets"]
-    prompts = [
-        PromptEnhancedSequence(
-            tensors["items"][offsets[i]:offsets[i + 1]].tolist(),
-            tensors["segments"][offsets[i]:offsets[i + 1]].tolist(),
-        )
-        for i in range(len(offsets) - 1)
-    ]
-    return prompts, manifest
+    """Item ids are checked to be non-negative here; the tune stage checks
+    them and the user count against its dataset."""
+    tensors, manifest = _load_checked(path, cfg, "gen-prompts")
+    n_rows = int(manifest["meta"]["n_users"])
+    items = _unpack(path, tensors["items"], tensors["offsets"], n_rows,
+                    np.iinfo(np.int64).max, "item id")
+    segments = _unpack(path, tensors["segments"], tensors["offsets"], n_rows, 2,
+                       "segment (REAL or PROMPT)")
+    return [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)], manifest
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -179,9 +194,7 @@ def _verify_upstream_hash(manifest: dict, key: str, expected: str, stage: str) -
         )
 
 
-def _write_report(path: Path, report: TrainReport, force: bool) -> None:
-    if path.exists() and not force:
-        raise StageError(f"{path} already exists; pass --force to overwrite")
+def _write_report(path: Path, report: TrainReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss\n")
         for epoch, loss in enumerate(report.epoch_losses):
@@ -193,6 +206,7 @@ def _write_report(path: Path, report: TrainReport, force: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(cfg: RunConfig, args) -> int:
+    path, stats_path = _outputs(cfg, args, "dataset.ckpt", "stats.csv")
     records = ingest_tsv(cfg.data_path)
     if cfg.min_timestamp >= 0:
         records = [r for r in records if r.timestamp >= cfg.min_timestamp]
@@ -202,14 +216,13 @@ def cmd_preprocess(cfg: RunConfig, args) -> int:
     dataset = build_splits(records, max_len=cfg.max_len)
     if dataset.n_users == 0:
         raise DataError("no users left after split construction")
-    path = _artifact_path(cfg, "dataset.ckpt", args.out, args.force)
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(path, dataset, cfg)
 
     stats = dataset.stats()
     print(f"{'users':>10} {'items':>10} {'actions':>10} {'avg_len':>10} {'sparsity':>10}")
     print(f"{stats['users']:>10} {stats['items']:>10} {stats['actions']:>10} "
           f"{stats['avg_length']:>10.2f} {stats['sparsity']:>10.4%}")
-    stats_path = run_dir(cfg, args.out) / "stats.csv"
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write("users,items,actions,avg_length,sparsity\n")
         fh.write(f"{stats['users']},{stats['items']},{stats['actions']},"
@@ -219,14 +232,13 @@ def cmd_preprocess(cfg: RunConfig, args) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig, args) -> int:
-    d = run_dir(cfg, args.out)
-    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    path, report_path = _outputs(cfg, args, "pretrain.ckpt", "pretrain_report.csv")
+    dataset, ds_manifest = load_dataset(_require(path.parent / "dataset.ckpt", "preprocess"), cfg)
     params, report = pretrain(dataset, cfg.hyper(), cfg.pretrain_epochs,
                               early_stop_patience=cfg.early_stop_patience)
-    path = _artifact_path(cfg, "pretrain.ckpt", args.out, args.force)
     save_model(path, params, "pretrain", cfg,
                upstream={"preprocess": ds_manifest["blob_sha256"]}, report=report)
-    _write_report(d / "pretrain_report.csv", report, args.force)
+    _write_report(report_path, report)
     print(f"pretrained {len(report.epoch_losses)} epochs, "
           f"final loss {report.epoch_losses[-1]:.4f}; wrote {path}")
     return 0
@@ -236,94 +248,96 @@ def _k_value(cfg: RunConfig, args) -> int:
     return cfg.prompt_window if args.k is None else args.k
 
 
+def _load_pretrained(cfg: RunConfig, d: Path) -> tuple[ModelParams, dict]:
+    return load_model(_require(d / "pretrain.ckpt", "pretrain"), cfg, "pretrain",
+                      hyper=cfg.hyper())
+
+
+def _load_tuned(cfg: RunConfig, d: Path, K: int, pre_manifest: dict, stage: str) -> ModelParams:
+    tuned, manifest = load_model(_require(d / f"tuned_K{K}.ckpt", f"tune --k {K}"), cfg,
+                                 "tune", hyper=cfg.hyper())
+    _verify_upstream_hash(manifest, "pretrain", pre_manifest["blob_sha256"], stage)
+    return tuned
+
+
+def _new_prompts(path: Path, dataset: SplitDataset, pre: ModelParams, K: int,
+                 cfg: RunConfig, pre_manifest: dict) -> list[PromptEnhancedSequence]:
+    prompts = generate_prompt_cache(dataset, pre, K)
+    save_prompts(path, prompts, K, cfg, upstream={"pretrain": pre_manifest["blob_sha256"]})
+    return prompts
+
+
+def _tune_options(cfg: RunConfig) -> dict:
+    return {"loss_positions": cfg.loss_positions, "trainable": cfg.trainable,
+            "early_stop_patience": cfg.early_stop_patience}
+
+
 def cmd_gen_prompts(cfg: RunConfig, args) -> int:
-    d = run_dir(cfg, args.out)
-    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    params, pre_manifest = load_model(_require(d / "pretrain.ckpt", "pretrain"),
-                                      cfg, "pretrain", hyper=cfg.hyper())
-    _verify_upstream_hash(pre_manifest, "preprocess",
-                          checkpoint.blob_hash(d / "dataset.ckpt"), "gen-prompts")
     K = _k_value(cfg, args)
-    prompts = generate_prompt_cache(dataset, params, K)
-    path = _artifact_path(cfg, f"prompts_K{K}.ckpt", args.out, args.force)
-    save_prompts(path, prompts, K, cfg,
-                 upstream={"pretrain": pre_manifest["blob_sha256"]})
+    [path] = _outputs(cfg, args, f"prompts_K{K}.ckpt")
+    dataset, ds_manifest = load_dataset(_require(path.parent / "dataset.ckpt", "preprocess"), cfg)
+    params, pre_manifest = _load_pretrained(cfg, path.parent)
+    _verify_upstream_hash(pre_manifest, "preprocess", ds_manifest["blob_sha256"], "gen-prompts")
+    _new_prompts(path, dataset, params, K, cfg, pre_manifest)
     print(f"generated prompts for {dataset.n_users} users at K={K}; wrote {path}")
     return 0
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
-    from dataclasses import replace
-
-    d = run_dir(cfg, args.out)
-    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pre, pre_manifest = load_model(_require(d / "pretrain.ckpt", "pretrain"),
-                                   cfg, "pretrain", hyper=cfg.hyper())
     K = _k_value(cfg, args)
+    path, report_path = _outputs(cfg, args, f"tuned_K{K}.ckpt", f"tune_K{K}_report.csv")
+    d = path.parent
+    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    pre, pre_manifest = _load_pretrained(cfg, d)
     hyper = replace(cfg.hyper(), prompt_window=K)
     prompt_path = d / f"prompts_K{K}.ckpt"
     if prompt_path.exists():
         prompts, pr_manifest = load_prompts(prompt_path, cfg)
         _verify_upstream_hash(pr_manifest, "pretrain", pre_manifest["blob_sha256"], "tune")
+        if len(prompts) != dataset.n_users or any(
+                v >= dataset.catalog.n_items for p in prompts for v in p.items):
+            raise CheckpointError(f"{prompt_path}: prompts do not fit the dataset's "
+                                  f"{dataset.n_users} users and {dataset.catalog.n_items} items")
     else:
-        prompts = generate_prompt_cache(dataset, pre, K)
-        save_prompts(prompt_path, prompts, K, cfg,
-                     upstream={"pretrain": pre_manifest["blob_sha256"]})
-    tuned, report = prompt_tune(
-        dataset, pre, prompts, hyper, cfg.tune_epochs,
-        loss_positions=cfg.loss_positions, trainable=cfg.trainable,
-        early_stop_patience=cfg.early_stop_patience,
-        regen_every=cfg.regen_every or None,
-    )
-    path = _artifact_path(cfg, f"tuned_K{K}.ckpt", args.out, args.force)
+        prompts = _new_prompts(prompt_path, dataset, pre, K, cfg, pre_manifest)
+    tuned, report = prompt_tune(dataset, pre, prompts, hyper, cfg.tune_epochs,
+                                regen_every=cfg.regen_every or None, **_tune_options(cfg))
     save_model(path, tuned, "tune", cfg,
                upstream={"pretrain": pre_manifest["blob_sha256"]}, report=report)
-    _write_report(d / f"tune_K{K}_report.csv", report, args.force)
+    _write_report(report_path, report)
     print(f"tuned {len(report.epoch_losses)} epochs at K={K}; wrote {path}")
     return 0
 
 
-def _load_for_eval(cfg: RunConfig, args, modes):
-    d = run_dir(cfg, args.out)
-    pretrained = tuned = finetuned = None
-    needs_pre = any(m in ("PRETRAIN", "VARIANT_1", "VARIANT_3") for m in modes)
-    needs_tuned = any(m in ("RECGPT", "RECGPT1", "VARIANT_2") for m in modes)
-    if needs_pre or needs_tuned:
-        pretrained, _ = load_model(_require(d / "pretrain.ckpt", "pretrain"),
-                                   cfg, "pretrain", hyper=cfg.hyper())
-    if needs_tuned:
-        tuned, manifest = load_model(
-            _require(d / f"tuned_K{cfg.prompt_window}.ckpt", "tune"), cfg, "tune",
-            hyper=cfg.hyper())
-        _verify_upstream_hash(manifest, "pretrain",
-                              checkpoint.blob_hash(d / "pretrain.ckpt"), "eval")
-    if "FINETUNE" in modes:
-        finetuned, manifest = load_model(
-            _require(d / "tuned_K0.ckpt", "tune --k 0"), cfg, "tune")
-        _verify_upstream_hash(manifest, "pretrain",
-                              checkpoint.blob_hash(d / "pretrain.ckpt"), "eval")
-    return pretrained, tuned, finetuned
+def _mode_k(cfg: RunConfig, mode: str) -> int:
+    """Prompt window a mode is evaluated at: FINETUNE is the K=0-tuned model."""
+    return 0 if mode == "FINETUNE" else cfg.prompt_window
+
+
+def _load_for_eval(cfg: RunConfig, d: Path, modes) -> tuple[ModelParams, dict]:
+    """The pretrained model (every mode needs it, for scoring, prompts or the
+    upstream check) and, keyed by K, each tuned model a mode reads in MODES."""
+    pretrained, pre_manifest = _load_pretrained(cfg, d)
+    ks = sorted({_mode_k(cfg, mode) for mode in modes if MODES[mode][0] == "tuned"})
+    return pretrained, {K: _load_tuned(cfg, d, K, pre_manifest, "eval") for K in ks}
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    d = run_dir(cfg, args.out)
-    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    split = cfg.eval_split
     modes = cfg.modes()
-    pretrained, tuned, finetuned = _load_for_eval(cfg, args, modes)
-    ks = cfg.ks()
-    csv_path = d / f"eval_{cfg.eval_split}.csv"
-    if csv_path.exists() and not args.force:
-        raise StageError(f"{csv_path} already exists; pass --force to overwrite")
+    dumps = [f"recall_{mode}_{split}.csv" for mode in modes] if args.dump else []
+    csv_path, *dump_paths = _outputs(cfg, args, f"eval_{split}.csv", *dumps)
+    d = csv_path.parent
+    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    pretrained, tuned = _load_for_eval(cfg, d, modes)
     rows = ["mode,metric,k,value,n_users"]
-    for mode in modes:
-        dump = (d / f"recall_{mode}_{cfg.eval_split}.csv") if args.dump else None
+    for i, mode in enumerate(modes):
+        K = _mode_k(cfg, mode)
         report = evaluate(
-            dataset, cfg.eval_split, mode,
-            pretrained=pretrained,
-            tuned=finetuned if mode == "FINETUNE" else tuned,
-            ks=ks, m=cfg.recall_m, n=cfg.recall_n,
-            prompt_k=0 if mode == "FINETUNE" else cfg.prompt_window,
-            filter_history=cfg.filter_history, dump_path=dump,
+            dataset, split, mode, pretrained=pretrained, tuned=tuned.get(K),
+            ks=cfg.ks(), m=cfg.recall_m, n=cfg.recall_n, prompt_k=K,
+            filter_history=cfg.filter_history,
+            dump_path=dump_paths[i] if args.dump else None,
         )
         print(report.table())
         print()
@@ -335,17 +349,13 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    d = run_dir(cfg, args.out)
+    [path] = _outputs(cfg, args, f"sweep_{cfg.sweep_axis}.csv")
+    d = path.parent
     dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pretrained, _m = load_model(_require(d / "pretrain.ckpt", "pretrain"),
-                                cfg, "pretrain", hyper=cfg.hyper())
+    pretrained, pre_manifest = _load_pretrained(cfg, d)
     ks = cfg.ks()
     if cfg.sweep_axis == "m_n":
-        tuned, manifest = load_model(
-            _require(d / f"tuned_K{cfg.prompt_window}.ckpt", "tune"), cfg, "tune",
-            hyper=cfg.hyper())
-        _verify_upstream_hash(manifest, "pretrain",
-                              checkpoint.blob_hash(d / "pretrain.ckpt"), "sweep")
+        tuned = _load_tuned(cfg, d, cfg.prompt_window, pre_manifest, "sweep")
         table = sweep_mn(dataset, cfg.eval_split, pretrained, tuned,
                          grid=mn_grid(max(ks)), ks=ks,
                          prompt_k=cfg.prompt_window,
@@ -355,14 +365,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                         cfg.tune_epochs, ks=ks,
                         m=cfg.recall_m, n=cfg.recall_n,
                         filter_history=cfg.filter_history,
-                        tune_kwargs={
-                            "loss_positions": cfg.loss_positions,
-                            "trainable": cfg.trainable,
-                            "early_stop_patience": cfg.early_stop_patience,
-                        })
-    path = d / f"sweep_{cfg.sweep_axis}.csv"
-    if path.exists() and not args.force:
-        raise StageError(f"{path} already exists; pass --force to overwrite")
+                        tune_kwargs=_tune_options(cfg))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table.csv() + "\n")
     print(table.csv())

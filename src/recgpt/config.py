@@ -39,7 +39,6 @@ class RunConfig:
     # recall / evaluation
     recall_m: int = 9
     recall_n: int = 1
-    scorer: str = "output"           # output | tied (tuned-model scorer)
     filter_history: bool = False
     eval_modes: str = "PRETRAIN,FINETUNE,RECGPT1,RECGPT"
     eval_split: str = "test"
@@ -51,16 +50,10 @@ class RunConfig:
     def validate(self) -> None:
         if not self.data_path:
             raise ConfigError("data_path is required")
-        if self.loss_positions not in ("last", "all_real"):
-            raise ConfigError(f"bad loss_positions {self.loss_positions!r}")
-        if self.trainable not in ("all", "head"):
-            raise ConfigError(f"bad trainable {self.trainable!r}")
-        if self.scorer not in ("output", "tied"):
-            raise ConfigError(f"bad scorer {self.scorer!r}")
-        if self.eval_split not in ("valid", "test"):
-            raise ConfigError(f"bad eval_split {self.eval_split!r}")
-        if self.sweep_axis not in ("m_n", "K"):
-            raise ConfigError(f"bad sweep_axis {self.sweep_axis!r}")
+        for key, allowed in (("loss_positions", ("last", "all_real")), ("trainable", ("all", "head")),
+                             ("eval_split", ("valid", "test")), ("sweep_axis", ("m_n", "K"))):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"bad {key} {getattr(self, key)!r}")
         if self.kcore_k < 1:
             raise ConfigError("kcore_k must be >= 1")
         try:
@@ -87,20 +80,13 @@ class RunConfig:
         return modes
 
     def hyper(self) -> HyperParams:
-        return HyperParams(
-            d=self.d, n_heads=self.n_heads, n_layers=self.n_layers, d_ff=self.d_ff,
-            max_len=self.max_len, prompt_window=self.prompt_window, lr=self.lr,
-            batch_size=self.batch_size, neg_count=self.neg_count, seed=self.seed,
-        )
+        return HyperParams(**{f.name: getattr(self, f.name) for f in fields(HyperParams)})
 
     def canonical(self) -> str:
         return "\n".join(f"{f.name} = {getattr(self, f.name)}" for f in fields(self))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
@@ -111,16 +97,12 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
-    if isinstance(proto, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key}: expected an integer, got {raw!r}") from exc
-    if isinstance(proto, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key}: expected a number, got {raw!r}") from exc
+    for kind, expected in ((int, "an integer"), (float, "a number")):
+        if isinstance(proto, kind):
+            try:
+                return kind(raw)
+            except ValueError as exc:
+                raise ConfigError(f"key {key}: expected {expected}, got {raw!r}") from exc
     return raw
 
 

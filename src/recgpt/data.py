@@ -85,7 +85,6 @@ class Batch:
     user_ids: np.ndarray          # (B,)
     items: np.ndarray             # (B, L) padded with 0
     segments: np.ndarray          # (B, L)
-    positions: np.ndarray         # (B, L)
     lengths: np.ndarray           # (B,) true row lengths
     targets: np.ndarray           # (B, L) next-item ids, valid for t < length-1
     negatives: np.ndarray         # (B, L, neg_count)
@@ -215,7 +214,6 @@ def iter_batches(
         B = len(rows)
         items = np.zeros((B, L), dtype=np.int64)
         segments = np.zeros((B, L), dtype=np.int64)
-        positions = np.tile(np.arange(L, dtype=np.int64), (B, 1))
         lengths = np.zeros(B, dtype=np.int64)
         targets = np.zeros((B, L), dtype=np.int64)
         negatives = np.zeros((B, L, neg_count), dtype=np.int64)
@@ -231,7 +229,6 @@ def iter_batches(
             user_ids=np.asarray([u for u, _ in rows], dtype=np.int64),
             items=items,
             segments=segments,
-            positions=positions,
             lengths=lengths,
             targets=targets,
             negatives=negatives,

@@ -1,13 +1,14 @@
 """HR@k / NDCG@k over the whole catalog, mode-based evaluation, and sweeps."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import SplitDataset
 from .model import REAL, SCORER_OUTPUT_LAYER, SCORER_TIED_EMB, ModelParams
-from .recall import RecallResult, dump_recall_csv, recall_one_step, recall_two_step
+from .recall import RecallResult, dump_recall_csv, recall_two_step
+from .training import generate_prompt_cache, generate_prompts, prompt_tune
 
 # mode -> (which params, two_step?, scorer)
 MODES = {
@@ -64,23 +65,22 @@ class SweepTable:
         return "\n".join(lines)
 
 
-def hr_at_k(ranked, target: int, k: int) -> int:
-    """1 iff the target appears in the first k ranked items."""
+def _top(ranked, k: int) -> list[int]:
     items = np.asarray(ranked.items if isinstance(ranked, RecallResult) else ranked)
     if items.shape[0] < k:
         raise EvalError(f"ranking shorter than k={k}")
-    return int(target in set(int(i) for i in items[:k]))
+    return [int(i) for i in items[:k]]
+
+
+def hr_at_k(ranked, target: int, k: int) -> int:
+    """1 iff the target appears in the first k ranked items."""
+    return int(target in _top(ranked, k))
 
 
 def ndcg_at_k(ranked, target: int, k: int) -> float:
     """1/log2(rank+1) for the single relevant item at 1-based rank <= k, else 0."""
-    items = np.asarray(ranked.items if isinstance(ranked, RecallResult) else ranked)
-    if items.shape[0] < k:
-        raise EvalError(f"ranking shorter than k={k}")
-    for rank, item in enumerate(items[:k], start=1):
-        if int(item) == target:
-            return float(1.0 / np.log2(rank + 1))
-    return 0.0
+    top = _top(ranked, k)
+    return float(1.0 / np.log2(top.index(target) + 2)) if target in top else 0.0
 
 
 def eval_input(dataset: SplitDataset, user: int, split: str) -> list[int]:
@@ -98,8 +98,6 @@ def _mode_input(dataset, user, split, which, prompt_k, prompt_params):
     tuned on; prompts come from the frozen pre-trained model, as in training."""
     seq = eval_input(dataset, user, split)
     if which == "tuned" and prompt_k > 0:
-        from .training import generate_prompts
-
         pes = generate_prompts(prompt_params, user, seq, prompt_k)
         return pes.items, pes.segments
     return seq, [REAL] * len(seq)
@@ -136,32 +134,28 @@ def evaluate(
         raise EvalError(f"mode {mode} with prompt_k={prompt_k} needs the pretrained "
                         "checkpoint for prompt generation")
     k_max = max(ks)
-    if two_step:
-        if m is None or n is None:
-            raise EvalError(f"mode {mode} needs recall split (m, n)")
-        if m + n != k_max:
-            raise EvalError(f"m+n={m + n} must equal k={k_max}")
+    if not two_step:
+        m, n = k_max, 0     # two-step recall with n = 0 is one-step recall
+    if m is None or n is None:
+        raise EvalError(f"mode {mode} needs recall split (m, n)")
+    if m + n != k_max:
+        raise EvalError(f"m+n={m + n} must equal k={k_max}")
 
     results = []
     hits = {(metric, k): 0.0 for k in ks for metric in ("HR", "NDCG")}
-    n_users = 0
     for u in range(dataset.n_users):
         seq, segments = _mode_input(dataset, u, split, which, prompt_k, pretrained)
         if not seq:
             continue
         target = int(dataset.test_target[u] if split == "test" else dataset.valid_target[u])
-        if two_step:
-            res = recall_two_step(params, u, seq, m, n, scorer, segments=segments,
-                                  filter_history=filter_history)
-        else:
-            res = recall_one_step(params, u, seq, k_max, scorer, segments=segments,
-                                  filter_history=filter_history)
+        res = recall_two_step(params, u, seq, m, n, scorer, segments=segments,
+                              filter_history=filter_history)
         results.append(res)
-        n_users += 1
         for k in ks:
             hits[("HR", k)] += hr_at_k(res, target, k)
             hits[("NDCG", k)] += ndcg_at_k(res, target, k)
 
+    n_users = len(results)
     report = MetricsReport(mode=mode, split=split, n_users=n_users,
                            n_excluded=dataset.n_users - n_users)
     for key, total in hits.items():
@@ -178,6 +172,11 @@ def mn_grid(k: int = 10, min_m: int | None = None) -> list[tuple[int, int]]:
     return [(m, k - m) for m in range(k, min_m - 1, -1)]
 
 
+def _collect(table: SweepTable, report: MetricsReport) -> None:
+    for key, value in report.metrics.items():
+        table.values.setdefault(key, []).append(value)
+
+
 def sweep_mn(
     dataset: SplitDataset,
     split: str,
@@ -188,22 +187,15 @@ def sweep_mn(
     prompt_k: int = 0,
     filter_history: bool = False,
 ) -> SweepTable:
-    """Vary only the two-step recall split over one tuned checkpoint."""
-    k_max = max(ks)
+    """Vary only the two-step recall split over one tuned checkpoint; the
+    (k, 0) point is one-step recall, since two-step with n = 0 returns it."""
     if grid is None:
-        grid = mn_grid(k_max)
+        grid = mn_grid(max(ks))
     table = SweepTable(axis="m_n", points=list(grid))
     for m, n in grid:
-        if n == 0:
-            report = evaluate(dataset, split, "RECGPT1", pretrained=pretrained,
-                              tuned=tuned, ks=ks, prompt_k=prompt_k,
-                              filter_history=filter_history)
-        else:
-            report = evaluate(dataset, split, "RECGPT", pretrained=pretrained,
-                              tuned=tuned, ks=ks, m=m, n=n, prompt_k=prompt_k,
-                              filter_history=filter_history)
-        for key, value in report.metrics.items():
-            table.values.setdefault(key, []).append(value)
+        _collect(table, evaluate(dataset, split, "RECGPT", pretrained=pretrained,
+                                 tuned=tuned, ks=ks, m=m, n=n, prompt_k=prompt_k,
+                                 filter_history=filter_history))
     return table
 
 
@@ -221,27 +213,15 @@ def sweep_k(
     tune_kwargs=None,
 ) -> SweepTable:
     """Retune per prompt-window size K and evaluate each tuned model."""
-    from dataclasses import replace
-
-    from .training import generate_prompt_cache, prompt_tune
-
     table = SweepTable(axis="K", points=list(k_grid))
     tune_kwargs = dict(tune_kwargs or {})
-    k_max = max(ks)
     if m is None or n is None:
-        m, n = k_max, 0
+        m, n = max(ks), 0
     for K in table.points:
-        hp = replace(hyper, prompt_window=K)
         prompts = generate_prompt_cache(dataset, pretrained, K)
-        tuned, _ = prompt_tune(dataset, pretrained, prompts, hp, tune_epochs, **tune_kwargs)
-        if n == 0:
-            report = evaluate(dataset, split, "RECGPT1", pretrained=pretrained,
-                              tuned=tuned, ks=ks, prompt_k=K,
-                              filter_history=filter_history)
-        else:
-            report = evaluate(dataset, split, "RECGPT", pretrained=pretrained,
-                              tuned=tuned, ks=ks, m=m, n=n, prompt_k=K,
-                              filter_history=filter_history)
-        for key, value in report.metrics.items():
-            table.values.setdefault(key, []).append(value)
+        tuned, _ = prompt_tune(dataset, pretrained, prompts, replace(hyper, prompt_window=K),
+                               tune_epochs, **tune_kwargs)
+        _collect(table, evaluate(dataset, split, "RECGPT", pretrained=pretrained,
+                                 tuned=tuned, ks=ks, m=m, n=n, prompt_k=K,
+                                 filter_history=filter_history))
     return table

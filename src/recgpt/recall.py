@@ -24,21 +24,35 @@ def _real_items(seq, segments) -> set[int]:
     return {int(v) for v, s in zip(seq, segments) if s == REAL}
 
 
+def _tagged(seq, segments) -> tuple[list, list]:
+    """The sequence and its segments as lists; all REAL when none are given."""
+    seq = list(seq)
+    return seq, [REAL] * len(seq) if segments is None else list(segments)
+
+
 def _final_hidden(params: ModelParams, user: int, items, segments) -> np.ndarray:
+    """Hidden state at the last position of the final max_len items."""
     items, segments = truncate_last(list(items), list(segments), params.hyper.max_len)
     h, _ = forward(params, user, items, segments)
     return h[-1]
+
+
+def greedy_step(params: ModelParams, user: int, items, segments, scorer: str
+                ) -> tuple[np.ndarray, int]:
+    """One greedy decoding step: the final hidden state and the top-scoring
+    item. np.argmax takes the lowest index among tied maxima, the same item
+    as rank_items(logits, 1)[0]."""
+    h = _final_hidden(params, user, items, segments)
+    return h, int(np.argmax(score_items(params, h, scorer)))
 
 
 def recall_one_step(params: ModelParams, user: int, seq, k: int, scorer: str,
                     segments=None, filter_history: bool = False) -> RecallResult:
     """Score the whole catalog from the final hidden state; top-k by logit,
     ties broken by ascending item index."""
-    seq = list(seq)
+    seq, segments = _tagged(seq, segments)
     if not seq:
         raise ValueError("recall requires a non-empty sequence")
-    if segments is None:
-        segments = [REAL] * len(seq)
     h = _final_hidden(params, user, seq, segments)
     logits = score_items(params, h, scorer)
     # history filtering excludes real interactions only, never prompt items
@@ -58,11 +72,8 @@ def recall_two_step(params: ModelParams, user: int, seq, m: int, n: int, scorer:
                             segments=segments, filter_history=filter_history)
     if n == 0:
         return step1
-    seq = list(seq)
-    if segments is None:
-        segments = [REAL] * len(seq)
-    first_item = int(step1.items[0])
-    h2 = _final_hidden(params, user, seq + [first_item], list(segments) + [PROMPT])
+    seq, segments = _tagged(seq, segments)
+    h2 = _final_hidden(params, user, seq + [int(step1.items[0])], segments + [PROMPT])
     logits2 = score_items(params, h2, scorer)
     chosen = set(int(i) for i in step1.items)
     exclude = chosen | (_real_items(seq, segments) if filter_history else set())
@@ -76,21 +87,19 @@ def interest_vectors(params: ModelParams, user: int, seq, steps: int, scorer: st
                      segments=None) -> list[np.ndarray]:
     """Unroll greedy decoding, emitting the final hidden state at each step.
 
-    steps=2 yields exactly the (h*_1, h*_2) pair used by recall_two_step;
-    deeper unrolling is exposed for analysis only.
+    With filter_history off, steps=2 yields exactly the (h*_1, h*_2) pair used
+    by recall_two_step. With it on, recall_two_step appends the top item
+    outside the user's history, which can differ from the unfiltered argmax
+    appended here. Deeper unrolling is exposed for analysis only.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    items = list(seq)
-    if segments is None:
-        segments = [REAL] * len(items)
-    segments = list(segments)
+    items, segments = _tagged(seq, segments)
     out = []
     for _ in range(steps):
-        h = _final_hidden(params, user, items, segments)
+        h, nxt = greedy_step(params, user, items, segments, scorer)
         out.append(h)
-        logits = score_items(params, h, scorer)
-        items.append(int(rank_items(logits, 1)[0]))
+        items.append(nxt)
         segments.append(PROMPT)
     return out
 

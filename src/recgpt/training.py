@@ -21,6 +21,7 @@ from .model import (
     score_items,
 )
 from .numerics import AdamState, adam_step, bce_pair_loss, cross_entropy
+from .recall import _final_hidden, greedy_step
 
 
 class TrainingError(RuntimeError):
@@ -52,7 +53,6 @@ class TrainReport:
     wall_time: float = 0.0
     param_norms: dict = field(default_factory=dict)
     seed: int = 0
-    config_hash: str = ""
     best_epoch: int = -1
     extra: dict = field(default_factory=dict)
 
@@ -63,22 +63,94 @@ def _param_norms(params: ModelParams) -> dict:
 
 
 def _valid_hr_at_10(dataset: SplitDataset, params: ModelParams, scorer: str,
-                    inputs=None) -> float:
-    """HR@10 predicting the validation target, used for early stopping."""
+                    inputs) -> float:
+    """HR@10 predicting the validation target from each user's
+    (items, segments) input, used for early stopping."""
     hits = 0
-    for u in range(dataset.n_users):
-        if inputs is not None:
-            items, segments = inputs[u]
-        else:
-            items = dataset.sequences[u]
-            segments = [REAL] * len(items)
-            items, segments = truncate_last(items, segments, dataset.max_len)
-        h, _ = forward(params, u, items, segments)
-        logits = score_items(params, h[-1], scorer)
-        top = rank_items(logits, 10)
-        if int(dataset.valid_target[u]) in set(int(i) for i in top):
-            hits += 1
+    for u, (items, segments) in enumerate(inputs):
+        logits = score_items(params, _final_hidden(params, u, items, segments), scorer)
+        hits += int(dataset.valid_target[u]) in rank_items(logits, 10).tolist()
     return hits / max(1, dataset.n_users)
+
+
+def _bce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, t: int, pos: int,
+                negs: np.ndarray) -> float:
+    """Pairwise BCE at position t through the tied item embeddings."""
+    w_e = params["W_e"]
+    loss, d_pos, d_negs = bce_pair_loss(float(w_e.value[pos] @ h[t]), w_e.value[negs] @ h[t])
+    d_h[t] += d_pos * w_e.value[pos] + d_negs @ w_e.value[negs]
+    w_e.grad[pos] += d_pos * h[t]
+    np.add.at(w_e.grad, negs, np.outer(d_negs, h[t]))
+    return loss
+
+
+def _ce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, pos: int, tgt: int) -> float:
+    """Full-catalog cross-entropy at position pos through the output layer."""
+    w_l = params["W_l"]
+    loss, d_logits = cross_entropy(w_l.value @ h[pos], tgt)
+    w_l.grad += np.outer(d_logits, h[pos])
+    d_h[pos] += w_l.value.T @ d_logits
+    return loss
+
+
+def _train(params: ModelParams, trainable: list[str], batches, target_loss, epochs: int,
+           lr: float, early_stop_patience: int, valid_hr, report: TrainReport
+           ) -> tuple[ModelParams, TrainReport]:
+    """The loop both stages share.
+
+    batches(epoch) yields lists of (user, items, segments, targets) rows; a
+    row without targets is skipped. Each row is run forward, and
+    target_loss(params, h, d_h, *target) adds each target's loss gradient to
+    d_h and to the head it scores with; the batch then takes one Adam step on
+    `trainable` with gradients averaged over its rows. With
+    early_stop_patience > 0, valid_hr(params) is checked after each epoch and
+    the best copy is returned.
+    """
+    states = {n: AdamState.for_param(params[n], lr=lr) for n in trainable}
+    t0 = time.time()
+    best_hr, best_params, patience_left = -1.0, None, early_stop_patience
+
+    for epoch in range(epochs):
+        epoch_loss, n_rows = 0.0, 0
+        for rows in batches(epoch):
+            params.zero_grads()
+            batch_loss = 0.0
+            for user, items, segments, targets in rows:
+                if not targets:
+                    continue
+                h, cache = forward(params, user, items, segments)
+                d_h = np.zeros_like(h)
+                user_loss = 0.0
+                for target in targets:
+                    user_loss += target_loss(params, h, d_h, *target)
+                backward(params, cache, d_h)
+                batch_loss += user_loss
+            params.scale_grads(1.0 / max(1, len(rows)))
+            for name in trainable:
+                adam_step(params[name], states[name])
+            epoch_loss += batch_loss
+            n_rows += len(rows)
+        mean_loss = epoch_loss / max(1, n_rows)
+        if not np.isfinite(mean_loss):
+            raise TrainingError(f"{report.stage} diverged at epoch {epoch}: loss={mean_loss}")
+        report.epoch_losses.append(mean_loss)
+
+        if early_stop_patience > 0:
+            hr = valid_hr(params)
+            if hr > best_hr:
+                best_hr, best_params, patience_left = hr, params.copy(), early_stop_patience
+                report.best_epoch = epoch
+            else:
+                patience_left -= 1
+                if patience_left <= 0:
+                    break
+
+    if early_stop_patience > 0 and best_params is not None:
+        params = best_params
+        report.extra["best_valid_hr10"] = best_hr
+    report.wall_time = time.time() - t0
+    report.param_norms = _param_norms(params)
+    return params, report
 
 
 def pretrain(
@@ -99,68 +171,18 @@ def pretrain(
     rng = np.random.default_rng(seed)
     params = ModelParams(dataset.catalog.n_users, dataset.catalog.n_items, hyper,
                          rng=np.random.default_rng(seed))
-    trainable = [n for n in params.names() if n not in ("W_s", "W_l")]
-    states = {n: AdamState.for_param(params[n], lr=hyper.lr) for n in trainable}
-    report = TrainReport(stage="pretrain", seed=seed)
-    t0 = time.time()
-    best_hr, best_params, patience_left = -1.0, None, early_stop_patience
 
-    for epoch in range(epochs):
-        epoch_loss, n_rows = 0.0, 0
-        for batch in iter_batches(dataset, hyper.batch_size, hyper.neg_count, rng):
-            params.zero_grads()
-            batch_loss = 0.0
-            B = batch.user_ids.shape[0]
-            for i in range(B):
-                n = int(batch.lengths[i])
-                if n < 2:
-                    continue
-                user = int(batch.user_ids[i])
-                items = batch.items[i, :n]
-                segments = batch.segments[i, :n]
-                h, cache = forward(params, user, items, segments)
-                d_h = np.zeros_like(h)
-                w_e = params["W_e"]
-                user_loss = 0.0
-                for t in range(n - 1):
-                    pos = int(batch.targets[i, t])
-                    negs = batch.negatives[i, t]
-                    pos_score = float(w_e.value[pos] @ h[t])
-                    neg_scores = w_e.value[negs] @ h[t]
-                    loss, d_pos, d_negs = bce_pair_loss(pos_score, neg_scores)
-                    user_loss += loss
-                    d_h[t] += d_pos * w_e.value[pos] + d_negs @ w_e.value[negs]
-                    w_e.grad[pos] += d_pos * h[t]
-                    np.add.at(w_e.grad, negs, np.outer(d_negs, h[t]))
-                backward(params, cache, d_h)
-                batch_loss += user_loss
-            params.scale_grads(1.0 / B)
-            for name in trainable:
-                adam_step(params[name], states[name])
-            epoch_loss += batch_loss
-            n_rows += B
-        mean_loss = epoch_loss / max(1, n_rows)
-        if not np.isfinite(mean_loss):
-            raise TrainingError(f"pretrain diverged at epoch {epoch}: loss={mean_loss}")
-        report.epoch_losses.append(mean_loss)
+    def batches(epoch):
+        for b in iter_batches(dataset, hyper.batch_size, hyper.neg_count, rng):
+            yield [(int(u), b.items[i, :n], b.segments[i, :n],
+                    [(t, int(b.targets[i, t]), b.negatives[i, t]) for t in range(n - 1)])
+                   for i, (u, n) in enumerate(zip(b.user_ids, b.lengths.tolist()))]
 
-        if early_stop_patience > 0:
-            hr = _valid_hr_at_10(dataset, params, SCORER_TIED_EMB)
-            if hr > best_hr:
-                best_hr, best_params = hr, params.copy()
-                report.best_epoch = epoch
-                patience_left = early_stop_patience
-            else:
-                patience_left -= 1
-                if patience_left <= 0:
-                    break
-
-    if early_stop_patience > 0 and best_params is not None:
-        params = best_params
-        report.extra["best_valid_hr10"] = best_hr
-    report.wall_time = time.time() - t0
-    report.param_norms = _param_norms(params)
-    return params, report
+    reals = [(seq, [REAL] * len(seq)) for seq in dataset.sequences]
+    return _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
+                  batches, _bce_target, epochs, hyper.lr, early_stop_patience,
+                  lambda p: _valid_hr_at_10(dataset, p, SCORER_TIED_EMB, reals),
+                  TrainReport(stage="pretrain", seed=seed))
 
 
 def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhancedSequence:
@@ -174,20 +196,12 @@ def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhan
     if K < 0:
         raise TrainingError("K must be >= 0")
     seq = [int(v) for v in seq]
-    if not seq:
-        return PromptEnhancedSequence([], [])
-    items = [seq[0]]
-    segments = [REAL]
-    max_len = params.hyper.max_len
-    for t in range(1, len(seq)):
+    items, segments = seq[:1], [REAL] * len(seq[:1])
+    for v in seq[1:]:
         for _ in range(K):
-            in_items, in_segs = truncate_last(items, segments, max_len)
-            h, _ = forward(params, user, in_items, in_segs)
-            logits = score_items(params, h[-1], SCORER_OUTPUT_LAYER)
-            nxt = int(rank_items(logits, 1)[0])
-            items.append(nxt)
+            items.append(greedy_step(params, user, items, segments, SCORER_OUTPUT_LAYER)[1])
             segments.append(PROMPT)
-        items.append(seq[t])
+        items.append(v)
         segments.append(REAL)
     return PromptEnhancedSequence(items, segments)
 
@@ -234,75 +248,33 @@ def prompt_tune(
     rng = np.random.default_rng(seed + 1)
     params = pretrained.copy()
     params["W_s"].value[...] = 0.0
-    params["W_l"].value = params["W_e"].value.copy()
-    params["W_l"].grad = np.zeros_like(params["W_l"].value)
-
-    trainable_names = params.names() if trainable == "all" else ["W_s", "W_l"]
-    states = {n: AdamState.for_param(params[n], lr=hyper.lr) for n in trainable_names}
-    report = TrainReport(stage="prompt_tune", seed=seed, extra={"K": hyper.prompt_window})
-    t0 = time.time()
+    params["W_l"].value[...] = params["W_e"].value
 
     def tune_inputs(pes_list):
         return [tuple(truncate_last(p.items, p.segments, dataset.max_len))
                 for p in pes_list]
 
+    def row(u):
+        items, segments = inputs[u]
+        if not items:
+            return u, items, segments, []
+        targets = []
+        if loss_positions == "all_real":
+            reals = [i for i, s in enumerate(segments) if s == REAL]
+            targets = [(reals[j], items[reals[j + 1]]) for j in range(len(reals) - 1)]
+        return u, items, segments, targets + [(len(items) - 1, int(dataset.valid_target[u]))]
+
+    def batches(epoch):
+        nonlocal inputs
+        if epoch in regen_at:
+            inputs = tune_inputs(generate_prompt_cache(dataset, params, hyper.prompt_window))
+        order = rng.permutation(dataset.n_users)
+        for start in range(0, len(order), hyper.batch_size):
+            yield [row(int(u)) for u in order[start:start + hyper.batch_size]]
+
     inputs = tune_inputs(prompts)
     regen_at = set(regeneration_epochs(epochs, regen_every))
-    best_hr, best_params, patience_left = -1.0, None, early_stop_patience
-
-    for epoch in range(epochs):
-        if epoch in regen_at:
-            prompts = generate_prompt_cache(dataset, params, hyper.prompt_window)
-            inputs = tune_inputs(prompts)
-        order = rng.permutation(dataset.n_users)
-        epoch_loss, n_rows = 0.0, 0
-        for start in range(0, len(order), hyper.batch_size):
-            users = order[start:start + hyper.batch_size]
-            params.zero_grads()
-            batch_loss = 0.0
-            for u in users:
-                u = int(u)
-                items, segments = inputs[u]
-                if not items:
-                    continue
-                h, cache = forward(params, u, items, segments)
-                d_h = np.zeros_like(h)
-                w_l = params["W_l"]
-                targets = [(len(items) - 1, int(dataset.valid_target[u]))]
-                if loss_positions == "all_real":
-                    reals = [i for i, s in enumerate(segments) if s == REAL]
-                    targets = [(reals[j], items[reals[j + 1]]) for j in range(len(reals) - 1)]
-                    targets.append((len(items) - 1, int(dataset.valid_target[u])))
-                for pos, tgt in targets:
-                    logits = w_l.value @ h[pos]
-                    loss, d_logits = cross_entropy(logits, tgt)
-                    batch_loss += loss
-                    w_l.grad += np.outer(d_logits, h[pos])
-                    d_h[pos] += w_l.value.T @ d_logits
-                backward(params, cache, d_h)
-            params.scale_grads(1.0 / max(1, len(users)))
-            for name in trainable_names:
-                adam_step(params[name], states[name])
-            epoch_loss += batch_loss
-            n_rows += len(users)
-        mean_loss = epoch_loss / max(1, n_rows)
-        if not np.isfinite(mean_loss):
-            raise TrainingError(f"prompt_tune diverged at epoch {epoch}: loss={mean_loss}")
-        report.epoch_losses.append(mean_loss)
-
-        if early_stop_patience > 0:
-            hr = _valid_hr_at_10(dataset, params, SCORER_OUTPUT_LAYER, inputs=inputs)
-            if hr > best_hr:
-                best_hr, best_params, patience_left = hr, params.copy(), early_stop_patience
-                report.best_epoch = epoch
-            else:
-                patience_left -= 1
-                if patience_left <= 0:
-                    break
-
-    if early_stop_patience > 0 and best_params is not None:
-        params = best_params
-        report.extra["best_valid_hr10"] = best_hr
-    report.wall_time = time.time() - t0
-    report.param_norms = _param_norms(params)
-    return params, report
+    return _train(params, params.names() if trainable == "all" else ["W_s", "W_l"],
+                  batches, _ce_target, epochs, hyper.lr, early_stop_patience,
+                  lambda p: _valid_hr_at_10(dataset, p, SCORER_OUTPUT_LAYER, inputs),
+                  TrainReport(stage="prompt_tune", seed=seed, extra={"K": hyper.prompt_window}))

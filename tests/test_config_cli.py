@@ -199,3 +199,122 @@ def test_pipeline_deterministic_across_runs(pipeline, tmp_path):
     rerun = out2 / cfg.config_hash()[:12]
     for name in ("dataset.ckpt", "pretrain.ckpt", "tuned_K1.ckpt"):
         assert (run / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("stage did work although its outputs exist")
+
+
+@pytest.mark.parametrize("stage,work", [
+    ("pretrain", "pretrain"),
+    ("gen-prompts", "generate_prompt_cache"),
+    ("tune", "prompt_tune"),
+    ("eval", "evaluate"),
+    ("sweep", "sweep_mn"),
+])
+def test_stage_refuses_overwrite_before_any_work(pipeline, monkeypatch, stage, work):
+    import recgpt.cli
+
+    _, cfg_path, _, _ = pipeline
+    monkeypatch.setattr(recgpt.cli, work, _refuse)
+    assert main([stage, "--config", str(cfg_path)]) == 2
+
+
+def test_pretrain_checks_its_report_before_writing_the_checkpoint(tmp_path, monkeypatch):
+    import recgpt.cli
+
+    cfg_path = write_config(tmp_path, seed=11)
+    run = tmp_path / "runs" / parse_config(cfg_path).config_hash()[:12]
+    assert main(["preprocess", "--config", str(cfg_path)]) == 0
+    (run / "pretrain_report.csv").write_text("epoch,loss\n")
+    monkeypatch.setattr(recgpt.cli, "pretrain", _refuse)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 2
+    assert not (run / "pretrain.ckpt").exists()
+
+
+# ---------------------------------------------------------------------------
+# ragged artifacts: dataset.ckpt and prompts_K*.ckpt are validated on load
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prompt_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ragged")
+    cfg_path = write_config(tmp, seed=5)
+    for cmd in (["preprocess"], ["pretrain"], ["gen-prompts"]):
+        assert main(cmd + ["--config", str(cfg_path)]) == 0, cmd
+    return cfg_path, tmp / "runs" / parse_config(cfg_path).config_hash()[:12]
+
+
+def _copy_run(run, out, cfg_path, names):
+    import shutil
+
+    dest = out / parse_config(cfg_path).config_hash()[:12]
+    dest.mkdir(parents=True)
+    for name in names:
+        shutil.copy(run / name, dest / name)
+    return dest
+
+
+def _resave(path, mutate):
+    """Rewrite a checkpoint with mutated tensors and meta; the checksum stays valid."""
+    from recgpt.checkpoint import save
+
+    tensors, manifest = load(path)
+    meta = manifest["meta"]
+    mutate(tensors, meta)
+    save(path, tensors, stage=manifest["stage"], config_hash=manifest["config_hash"], meta=meta)
+
+
+def _set(key, index, value):
+    def mutate(tensors, meta):
+        tensors[key][index] = value
+    return mutate
+
+
+def _drop_last_user(tensors, meta):
+    end = int(tensors["offsets"][-2])
+    tensors["items"] = tensors["items"][:end]
+    tensors["segments"] = tensors["segments"][:end]
+    tensors["offsets"] = tensors["offsets"][:-1]
+    meta["n_users"] -= 1
+
+
+def _swap_offsets(key):
+    def mutate(tensors, meta):
+        tensors[key][[1, 2]] = tensors[key][[2, 1]]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("items", 0, -1),                 # NumPy would read it as the last item
+    _set("items", 0, 20),                 # the toy catalog has 20 items
+    _set("segments", 0, 2),
+    _set("offsets", 0, 1),
+    _swap_offsets("offsets"),
+    _set("offsets", -1, 10**6),
+    _drop_last_user,
+], ids=["negative_item", "item_past_catalog", "bad_segment", "offsets_not_from_zero",
+        "offsets_go_down", "offsets_overrun", "user_count"])
+def test_tune_rejects_malformed_prompts(prompt_run, tmp_path, mutate):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt", "prompts_K1.ckpt"))
+    _resave(dest / "prompts_K1.ckpt", mutate)
+    assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("seq_flat", 0, -1),
+    _set("seq_flat", 0, 20),
+    _set("valid_target", 0, -1),
+    _set("test_target", 0, 20),
+    _set("seq_offsets", 0, 1),
+    _swap_offsets("seq_offsets"),
+    _set("seq_offsets", -1, 10**6),
+], ids=["negative_item", "item_past_catalog", "negative_valid_target",
+        "test_target_past_catalog", "offsets_not_from_zero", "offsets_go_down",
+        "offsets_overrun"])
+def test_pretrain_rejects_malformed_dataset(prompt_run, tmp_path, mutate):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt",))
+    _resave(dest / "dataset.ckpt", mutate)
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3

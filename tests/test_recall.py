@@ -16,6 +16,7 @@ from recgpt.recall import (
     STEP1,
     STEP2,
     dump_recall_csv,
+    greedy_step,
     interest_vectors,
     recall_one_step,
     recall_two_step,
@@ -103,6 +104,26 @@ def test_filter_history_excludes_real_items_only():
                           segments=segs, filter_history=True)
     assert 1 not in res.items and 3 not in res.items
     assert len(res.items) == 6   # prompt item 2 remains eligible
+
+
+def test_greedy_step_picks_rank_items_top_on_tie_heavy_logits(rng):
+    # item rows drawn from three distinct vectors (one of them zero), so most
+    # logits tie; the greedy step must take the lowest index of the top group
+    for trial in range(100):
+        n_items = int(rng.integers(2, 13))
+        params = tiny_params(seed=trial, n_items=n_items)
+        base = np.vstack([np.zeros(8), rng.standard_normal((2, 8))]).astype(np.float32)
+        rows = base[rng.integers(0, 3, size=n_items)]
+        params["W_e"].value[...] = rows
+        params["W_l"].value[...] = rows
+        seq = rng.integers(0, n_items, size=int(rng.integers(1, 16))).tolist()
+        segs = rng.integers(0, 2, size=len(seq)).tolist()
+        scorer = SCORER_TIED_EMB if trial % 2 else SCORER_OUTPUT_LAYER
+        h, item = greedy_step(params, 1, seq, segs, scorer)
+        items, segments = truncate_last(seq, segs, params.hyper.max_len)
+        expected_h, _ = forward(params, 1, items, segments)
+        assert np.array_equal(h, expected_h[-1])
+        assert item == int(rank_items(score_items(params, h, scorer), 1)[0])
 
 
 def test_interest_vectors_unroll():
