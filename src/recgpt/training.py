@@ -165,6 +165,8 @@ def pretrain(
     Per user position t, the loss is -log sig(h_t . e_pos) - sum log(1 - sig(h_t . e_neg))
     with uniform negatives outside the user's full sequence; batches average
     per-user sums. Segment embeddings stay at zero and are not trained here.
+    Neither is W_l: it ends as a copy of the trained W_e, so prompts generated
+    from the pre-trained model score with the head pretraining trained.
     """
     if seed is None:
         seed = hyper.seed
@@ -179,10 +181,13 @@ def pretrain(
                    for i, (u, n) in enumerate(zip(b.user_ids, b.lengths.tolist()))]
 
     reals = [(seq, [REAL] * len(seq)) for seq in dataset.sequences]
-    return _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
-                  batches, _bce_target, epochs, hyper.lr, early_stop_patience,
-                  lambda p: _valid_hr_at_10(dataset, p, SCORER_TIED_EMB, reals),
-                  TrainReport(stage="pretrain", seed=seed))
+    params, report = _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
+                            batches, _bce_target, epochs, hyper.lr, early_stop_patience,
+                            lambda p: _valid_hr_at_10(dataset, p, SCORER_TIED_EMB, reals),
+                            TrainReport(stage="pretrain", seed=seed))
+    params["W_l"].value[...] = params["W_e"].value
+    report.param_norms["W_l"] = report.param_norms["W_e"]
+    return params, report
 
 
 def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhancedSequence:

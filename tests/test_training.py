@@ -12,6 +12,8 @@ from recgpt.model import (
     HyperParams,
     ModelParams,
     forward,
+    rank_items,
+    score_items,
 )
 from recgpt.numerics import bce_pair_loss, cross_entropy
 from recgpt.recall import recall_one_step
@@ -69,10 +71,15 @@ def test_pretrain_leaves_segment_and_output_weights_untouched():
     ds = tiny_dataset(n_users=4, n_items=8, length=6, seed=2)
     params, _ = pretrain(ds, tiny_hyper(seed=4), epochs=2)
     assert np.array_equal(params["W_s"].value, np.zeros_like(params["W_s"].value))
-    # W_l keeps its init copy of W_e from before training moved W_e
-    init = ModelParams(ds.catalog.n_users, ds.catalog.n_items, tiny_hyper(seed=4),
-                       rng=np.random.default_rng(4))
-    assert np.array_equal(params["W_l"].value, init["W_l"].value)
+    # W_l is not trained but ends as a copy of the trained W_e, so greedy
+    # prompts are the argmax of the tied scorer pretraining trained
+    assert np.array_equal(params["W_l"].value, params["W_e"].value)
+    for u in range(ds.n_users):
+        pes = generate_prompts(params, u, ds.sequences[u], 1)
+        for pos in (i for i, s in enumerate(pes.segments) if s == PROMPT):
+            h, _ = forward(params, u, pes.items[:pos], pes.segments[:pos])
+            logits = score_items(params, h[-1], SCORER_TIED_EMB)
+            assert pes.items[pos] == int(rank_items(logits, 1)[0])
 
 
 # ---------------------------------------------------------------------------
