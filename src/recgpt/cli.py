@@ -54,14 +54,18 @@ def _outputs(cfg: RunConfig, args, *names: str) -> list[Path]:
     return paths
 
 
-def _load_checked(path, cfg: RunConfig, stage: str) -> tuple[dict, dict]:
-    """checkpoint.load, refusing an artifact made under another config."""
+def _load_checked(path, cfg: RunConfig, stage: str, *names: str) -> tuple[dict, dict]:
+    """checkpoint.load, refusing an artifact made under another config or
+    missing one of the named tensors."""
     tensors, manifest = checkpoint.load(path)
     if manifest.get("config_hash") != cfg.config_hash():
         raise StageError(
             f"stage {stage}: artifact was produced under a different config "
             f"(hash {manifest.get('config_hash', '?')[:12]} != {cfg.config_hash()[:12]})"
         )
+    for name in names:
+        if name not in tensors:
+            raise CheckpointError(f"{path}: checkpoint missing tensor {name}")
     return tensors, manifest
 
 
@@ -115,7 +119,8 @@ def save_dataset(path, dataset: SplitDataset, cfg: RunConfig) -> None:
 
 
 def load_dataset(path, cfg: RunConfig) -> tuple[SplitDataset, dict]:
-    tensors, manifest = _load_checked(path, cfg, "preprocess")
+    tensors, manifest = _load_checked(path, cfg, "preprocess", "seq_flat", "seq_offsets",
+                                      "valid_target", "test_target")
     catalog = Catalog(users=list(manifest["meta"]["users"]),
                       items=list(manifest["meta"]["items"]))
     sequences = _unpack(path, tensors["seq_flat"], tensors["seq_offsets"],
@@ -154,7 +159,10 @@ def load_model(path, cfg: RunConfig, stage: str, hyper=None) -> tuple[ModelParam
     meta = manifest["meta"]
     hp = hyper or HyperParams(**meta["hyper"])
     params = ModelParams(meta["n_users"], meta["n_items"], hp)
-    params.load_tensors(tensors)
+    try:
+        params.load_tensors(tensors)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc.args[0]}") from exc
     return params, manifest
 
 
@@ -170,7 +178,7 @@ def save_prompts(path, prompts: list[PromptEnhancedSequence], K: int,
 def load_prompts(path, cfg: RunConfig) -> tuple[list[PromptEnhancedSequence], dict]:
     """Item ids are checked to be non-negative here; the tune stage checks
     them and the user count against its dataset."""
-    tensors, manifest = _load_checked(path, cfg, "gen-prompts")
+    tensors, manifest = _load_checked(path, cfg, "gen-prompts", "items", "segments", "offsets")
     n_rows = int(manifest["meta"]["n_users"])
     items = _unpack(path, tensors["items"], tensors["offsets"], n_rows,
                     np.iinfo(np.int64).max, "item id")
@@ -269,7 +277,8 @@ def _new_prompts(path: Path, dataset: SplitDataset, pre: ModelParams, K: int,
 
 def _tune_options(cfg: RunConfig) -> dict:
     return {"loss_positions": cfg.loss_positions, "trainable": cfg.trainable,
-            "early_stop_patience": cfg.early_stop_patience}
+            "early_stop_patience": cfg.early_stop_patience,
+            "regen_every": cfg.regen_every or None}
 
 
 def cmd_gen_prompts(cfg: RunConfig, args) -> int:
@@ -301,7 +310,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     else:
         prompts = _new_prompts(prompt_path, dataset, pre, K, cfg, pre_manifest)
     tuned, report = prompt_tune(dataset, pre, prompts, hyper, cfg.tune_epochs,
-                                regen_every=cfg.regen_every or None, **_tune_options(cfg))
+                                **_tune_options(cfg))
     save_model(path, tuned, "tune", cfg,
                upstream={"pretrain": pre_manifest["blob_sha256"]}, report=report)
     _write_report(report_path, report)

@@ -78,18 +78,6 @@ class SplitDataset:
         }
 
 
-@dataclass
-class Batch:
-    """Padded per-user training rows; padding columns are excluded via lengths."""
-
-    user_ids: np.ndarray          # (B,)
-    items: np.ndarray             # (B, L) padded with 0
-    segments: np.ndarray          # (B, L)
-    lengths: np.ndarray           # (B,) true row lengths
-    targets: np.ndarray           # (B, L) next-item ids, valid for t < length-1
-    negatives: np.ndarray         # (B, L, neg_count)
-
-
 def ingest_tsv(path) -> list[Interaction]:
     """Parse `user<TAB>item<TAB>timestamp` lines; reject wrong arity with line numbers."""
     records = []
@@ -190,46 +178,9 @@ def truncate_last(items, segments, max_len: int):
     return list(items[-max_len:]), list(segments[-max_len:])
 
 
-def iter_batches(
-    dataset: SplitDataset,
-    batch_size: int,
-    neg_count: int,
-    rng: np.random.Generator,
-):
-    """Yield padded pretraining batches in rng-shuffled user order.
-
-    Targets at row position t are the next item in the train prefix; negatives
-    are drawn outside the user's full (train+valid+test) sequence.
-    """
-    order = rng.permutation(dataset.n_users)
-    max_len = dataset.max_len
-    vocab = dataset.catalog.n_items
-    for start in range(0, len(order), batch_size):
-        users = order[start:start + batch_size]
-        rows = []
-        for u in users:
-            seq = dataset.sequences[u][-max_len:]
-            rows.append((int(u), seq))
-        L = max(len(seq) for _, seq in rows)
-        B = len(rows)
-        items = np.zeros((B, L), dtype=np.int64)
-        segments = np.zeros((B, L), dtype=np.int64)
-        lengths = np.zeros(B, dtype=np.int64)
-        targets = np.zeros((B, L), dtype=np.int64)
-        negatives = np.zeros((B, L, neg_count), dtype=np.int64)
-        for i, (u, seq) in enumerate(rows):
-            n = len(seq)
-            lengths[i] = n
-            items[i, :n] = seq
-            full = dataset.full_sequence(u)
-            for t in range(n - 1):
-                targets[i, t] = seq[t + 1]
-                negatives[i, t] = sample_negatives(full, vocab, neg_count, rng)
-        yield Batch(
-            user_ids=np.asarray([u for u, _ in rows], dtype=np.int64),
-            items=items,
-            segments=segments,
-            lengths=lengths,
-            targets=targets,
-            negatives=negatives,
-        )
+def iter_batches(n_users: int, batch_size: int, rng: np.random.Generator, row):
+    """Yield lists of row(u), batch_size users at a time, in rng-shuffled user
+    order; each training stage supplies its own row function."""
+    order = rng.permutation(n_users)
+    for start in range(0, n_users, batch_size):
+        yield [row(int(u)) for u in order[start:start + batch_size]]

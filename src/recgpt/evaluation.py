@@ -17,9 +17,8 @@ MODES = {
     "RECGPT1": ("tuned", False, SCORER_OUTPUT_LAYER),
     "RECGPT": ("tuned", True, SCORER_OUTPUT_LAYER),
     "VARIANT_1": ("pretrained", True, SCORER_TIED_EMB),
-    "VARIANT_2": ("tuned", False, SCORER_OUTPUT_LAYER),
-    "VARIANT_3": ("pretrained", False, SCORER_TIED_EMB),
 }
+MODES.update(VARIANT_2=MODES["RECGPT1"], VARIANT_3=MODES["PRETRAIN"])
 
 
 class EvalError(RuntimeError):
@@ -33,7 +32,6 @@ class MetricsReport:
     n_users: int
     n_excluded: int = 0
     metrics: dict = field(default_factory=dict)   # (metric, k) -> value
-    config: dict = field(default_factory=dict)
 
     def table(self) -> str:
         lines = [f"mode={self.mode} split={self.split} users={self.n_users} "

@@ -104,9 +104,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -308,8 +305,7 @@ def score_items(params: ModelParams, h: np.ndarray, scorer: str) -> np.ndarray:
 
 def rank_items(logits: np.ndarray, k: int, exclude=None) -> np.ndarray:
     """Top-k item indices by descending logit; ties broken by ascending index."""
-    order = np.lexsort((np.arange(logits.shape[0]), -logits))
+    order = np.argsort(-logits, kind="stable")
     if exclude:
-        excluded = set(int(i) for i in exclude)
-        order = np.asarray([i for i in order if int(i) not in excluded])
+        order = order[~np.isin(order, list(exclude))]
     return order[:k]

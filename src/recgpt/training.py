@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SplitDataset, iter_batches, truncate_last
+from .data import SplitDataset, iter_batches, sample_negatives, truncate_last
 from .model import (
     PROMPT,
     REAL,
@@ -153,6 +153,17 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
     return params, report
 
 
+def pretrain_row(dataset: SplitDataset, user: int, neg_count: int, rng: np.random.Generator):
+    """A pretraining row: the user's last max_len train items, all REAL, with
+    a target (t, next item, negatives drawn outside the user's full sequence)
+    at every position t but the last."""
+    seq = dataset.sequences[user][-dataset.max_len:]
+    full = dataset.full_sequence(user)
+    return user, seq, [REAL] * len(seq), [
+        (t, int(seq[t + 1]), sample_negatives(full, dataset.catalog.n_items, neg_count, rng))
+        for t in range(len(seq) - 1)]
+
+
 def pretrain(
     dataset: SplitDataset,
     hyper: HyperParams,
@@ -175,10 +186,8 @@ def pretrain(
                          rng=np.random.default_rng(seed))
 
     def batches(epoch):
-        for b in iter_batches(dataset, hyper.batch_size, hyper.neg_count, rng):
-            yield [(int(u), b.items[i, :n], b.segments[i, :n],
-                    [(t, int(b.targets[i, t]), b.negatives[i, t]) for t in range(n - 1)])
-                   for i, (u, n) in enumerate(zip(b.user_ids, b.lengths.tolist()))]
+        return iter_batches(dataset.n_users, hyper.batch_size, rng,
+                            lambda u: pretrain_row(dataset, u, hyper.neg_count, rng))
 
     reals = [(seq, [REAL] * len(seq)) for seq in dataset.sequences]
     params, report = _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
@@ -273,9 +282,7 @@ def prompt_tune(
         nonlocal inputs
         if epoch in regen_at:
             inputs = tune_inputs(generate_prompt_cache(dataset, params, hyper.prompt_window))
-        order = rng.permutation(dataset.n_users)
-        for start in range(0, len(order), hyper.batch_size):
-            yield [row(int(u)) for u in order[start:start + hyper.batch_size]]
+        return iter_batches(dataset.n_users, hyper.batch_size, rng, row)
 
     inputs = tune_inputs(prompts)
     regen_at = set(regeneration_epochs(epochs, regen_every))

@@ -279,6 +279,18 @@ def _drop_last_user(tensors, meta):
     meta["n_users"] -= 1
 
 
+def _drop(key):
+    def mutate(tensors, meta):
+        del tensors[key]
+    return mutate
+
+
+def _reshape(key):
+    def mutate(tensors, meta):
+        tensors[key] = tensors[key].reshape(-1)
+    return mutate
+
+
 def _swap_offsets(key):
     def mutate(tensors, meta):
         tensors[key][[1, 2]] = tensors[key][[2, 1]]
@@ -293,8 +305,9 @@ def _swap_offsets(key):
     _swap_offsets("offsets"),
     _set("offsets", -1, 10**6),
     _drop_last_user,
+    _drop("segments"),
 ], ids=["negative_item", "item_past_catalog", "bad_segment", "offsets_not_from_zero",
-        "offsets_go_down", "offsets_overrun", "user_count"])
+        "offsets_go_down", "offsets_overrun", "user_count", "missing_segments"])
 def test_tune_rejects_malformed_prompts(prompt_run, tmp_path, mutate):
     cfg_path, run = prompt_run
     dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt", "prompts_K1.ckpt"))
@@ -310,11 +323,44 @@ def test_tune_rejects_malformed_prompts(prompt_run, tmp_path, mutate):
     _set("seq_offsets", 0, 1),
     _swap_offsets("seq_offsets"),
     _set("seq_offsets", -1, 10**6),
+    _drop("seq_offsets"),
 ], ids=["negative_item", "item_past_catalog", "negative_valid_target",
         "test_target_past_catalog", "offsets_not_from_zero", "offsets_go_down",
-        "offsets_overrun"])
+        "offsets_overrun", "missing_offsets"])
 def test_pretrain_rejects_malformed_dataset(prompt_run, tmp_path, mutate):
     cfg_path, run = prompt_run
     dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt",))
     _resave(dest / "dataset.ckpt", mutate)
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("mutate", [_drop("W_l"), _reshape("W_e")],
+                         ids=["missing_output_layer", "flat_item_embeddings"])
+def test_gen_prompts_rejects_malformed_model(prompt_run, tmp_path, mutate):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt"))
+    _resave(dest / "pretrain.ckpt", mutate)
+    assert main(["gen-prompts", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+
+
+def test_k_sweep_tunes_with_the_options_of_tune(tmp_path, monkeypatch):
+    import recgpt.cli
+    import recgpt.evaluation
+    from recgpt.training import prompt_tune
+
+    calls = {"cli": [], "evaluation": []}
+
+    def recorder(where):
+        def record(*args, **kwargs):
+            calls[where].append(kwargs)
+            return prompt_tune(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(recgpt.cli, "prompt_tune", recorder("cli"))
+    monkeypatch.setattr(recgpt.evaluation, "prompt_tune", recorder("evaluation"))
+    cfg_path = write_config(tmp_path, seed=13, regen_every=2, sweep_axis="K")
+    for cmd in (["preprocess"], ["pretrain"], ["tune"], ["sweep"]):
+        assert main(cmd + ["--config", str(cfg_path)]) == 0, cmd
+    assert len(calls["cli"]) == 1 and calls["evaluation"]
+    for options in calls["evaluation"]:
+        assert options == calls["cli"][0]

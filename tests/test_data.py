@@ -15,6 +15,9 @@ from recgpt.data import (
     truncate_last,
 )
 
+from recgpt.model import REAL
+from recgpt.training import pretrain_row
+
 from conftest import tiny_dataset
 
 
@@ -268,21 +271,20 @@ def test_stats_match_direct_count_oracle():
 
 
 def test_iter_batches_contract():
-    ds = tiny_dataset(n_users=7, n_items=10, length=6, seed=4)
+    # max_len below the train-prefix length, so rows are truncated
+    ds = tiny_dataset(n_users=7, n_items=10, length=6, seed=4, max_len=3)
     rng = np.random.default_rng(0)
     seen_users = []
-    for batch in iter_batches(ds, batch_size=3, neg_count=2, rng=rng):
-        B = batch.user_ids.shape[0]
-        assert B <= 3
-        seen_users.extend(batch.user_ids.tolist())
-        for i in range(B):
-            n = int(batch.lengths[i])
-            u = int(batch.user_ids[i])
-            assert batch.items[i, :n].tolist() == ds.sequences[u][-ds.max_len:]
-            # padding beyond the true length stays zero and is never a target
-            assert np.all(batch.items[i, n:] == 0)
+    for rows in iter_batches(ds.n_users, 3, rng, lambda u: pretrain_row(ds, u, 2, rng)):
+        assert len(rows) <= 3
+        for u, items, segments, targets in rows:
+            seen_users.append(u)
+            assert items == ds.sequences[u][-ds.max_len:]
+            assert segments == [REAL] * len(items)
             full = set(ds.full_sequence(u))
-            for t in range(n - 1):
-                assert int(batch.targets[i, t]) == ds.sequences[u][t + 1]
-                assert not (set(batch.negatives[i, t].tolist()) & full)
+            assert [t for t, _, _ in targets] == list(range(len(items) - 1))
+            for t, target, negatives in targets:
+                assert target == items[t + 1]
+                assert len(negatives) == 2
+                assert not (set(negatives.tolist()) & full)
     assert sorted(seen_users) == list(range(7))
