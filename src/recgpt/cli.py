@@ -18,8 +18,8 @@ from . import checkpoint
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, parse_config
 from .data import Catalog, DataError, SplitDataset, build_splits, ingest_tsv, kcore_filter
-from .evaluation import MODES, EvalError, evaluate, mn_grid, sweep_k, sweep_mn
-from .model import HyperParams, ModelParams
+from .evaluation import MODES, EvalError, evaluate, mn_grid, prompt_inputs, sweep_k, sweep_mn
+from .model import PROMPT, REAL, HyperParams, ModelParams
 from .numerics import NumericsError
 from .training import (
     PromptEnhancedSequence,
@@ -67,6 +67,15 @@ def _load_checked(path, cfg: RunConfig, stage: str, *names: str) -> tuple[dict, 
         if name not in tensors:
             raise CheckpointError(f"{path}: checkpoint missing tensor {name}")
     return tensors, manifest
+
+
+def _meta(path, manifest: dict, *keys: str) -> list:
+    """The named values of a manifest's meta, refusing one that is missing."""
+    meta = manifest.get("meta")
+    for key in keys:
+        if not isinstance(meta, dict) or key not in meta:
+            raise CheckpointError(f"{path}: manifest meta missing key {key!r}")
+    return [meta[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +130,15 @@ def save_dataset(path, dataset: SplitDataset, cfg: RunConfig) -> None:
 def load_dataset(path, cfg: RunConfig) -> tuple[SplitDataset, dict]:
     tensors, manifest = _load_checked(path, cfg, "preprocess", "seq_flat", "seq_offsets",
                                       "valid_target", "test_target")
-    catalog = Catalog(users=list(manifest["meta"]["users"]),
-                      items=list(manifest["meta"]["items"]))
+    users, items, max_len = _meta(path, manifest, "users", "items", "max_len")
+    catalog = Catalog(users=list(users), items=list(items))
     sequences = _unpack(path, tensors["seq_flat"], tensors["seq_offsets"],
                         catalog.n_users, catalog.n_items, "item id")
     for name in ("valid_target", "test_target"):
         _unpack(path, tensors[name], np.asarray([0, catalog.n_users]), 1,
                 catalog.n_items, name)
     dataset = SplitDataset(sequences, tensors["valid_target"], tensors["test_target"],
-                           catalog, max_len=int(manifest["meta"]["max_len"]))
+                           catalog, max_len=int(max_len))
     return dataset, manifest
 
 
@@ -156,9 +165,14 @@ def save_model(path, params: ModelParams, stage: str, cfg: RunConfig,
 
 def load_model(path, cfg: RunConfig, stage: str, hyper=None) -> tuple[ModelParams, dict]:
     tensors, manifest = _load_checked(path, cfg, stage)
-    meta = manifest["meta"]
-    hp = hyper or HyperParams(**meta["hyper"])
-    params = ModelParams(meta["n_users"], meta["n_items"], hp)
+    n_users, n_items = _meta(path, manifest, "n_users", "n_items")
+    if hyper is None:
+        [saved] = _meta(path, manifest, "hyper")
+        try:
+            hyper = HyperParams(**saved)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: manifest meta key 'hyper': {exc}") from exc
+    params = ModelParams(n_users, n_items, hyper)
     try:
         params.load_tensors(tensors)
     except (KeyError, ValueError) as exc:
@@ -175,16 +189,28 @@ def save_prompts(path, prompts: list[PromptEnhancedSequence], K: int,
                     meta={"K": K, "n_users": len(prompts), "upstream": upstream})
 
 
-def load_prompts(path, cfg: RunConfig) -> tuple[list[PromptEnhancedSequence], dict]:
-    """Item ids are checked to be non-negative here; the tune stage checks
-    them and the user count against its dataset."""
+def load_prompts(path, cfg: RunConfig, dataset: SplitDataset,
+                 K: int) -> tuple[list[PromptEnhancedSequence], dict]:
+    """The prompt cache of the dataset's train prefixes at prompt window K.
+    Refused unless it has one row per user, every id is in the catalog, its
+    manifest K is K, and row u holds dataset.sequences[u] as its REAL items
+    in the layout law of generate_prompts."""
     tensors, manifest = _load_checked(path, cfg, "gen-prompts", "items", "segments", "offsets")
-    n_rows = int(manifest["meta"]["n_users"])
+    n_rows, saved_k = _meta(path, manifest, "n_users", "K")
+    if n_rows != dataset.n_users or saved_k != K:
+        raise CheckpointError(f"{path}: prompts for {n_rows} users at K={saved_k}, "
+                              f"expected {dataset.n_users} users at K={K}")
     items = _unpack(path, tensors["items"], tensors["offsets"], n_rows,
-                    np.iinfo(np.int64).max, "item id")
+                    dataset.catalog.n_items, "item id")
     segments = _unpack(path, tensors["segments"], tensors["offsets"], n_rows, 2,
                        "segment (REAL or PROMPT)")
-    return [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)], manifest
+    prompts = [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)]
+    for u, (pes, seq) in enumerate(zip(prompts, dataset.sequences)):
+        layout = [REAL] + ([PROMPT] * K + [REAL]) * (len(seq) - 1) if seq else []
+        if pes.segments != layout or pes.real_items != seq:
+            raise CheckpointError(f"{path}: row {u} is not user {u}'s train prefix with "
+                                  f"{K} prompts before each real item after the first")
+    return prompts, manifest
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -268,6 +294,16 @@ def _load_tuned(cfg: RunConfig, d: Path, K: int, pre_manifest: dict, stage: str)
     return tuned
 
 
+def _saved_prompts(cfg: RunConfig, d: Path, dataset: SplitDataset, K: int,
+                   pre_manifest: dict, stage: str) -> list[PromptEnhancedSequence]:
+    """prompts_K{K}.ckpt, checked against the dataset and refused unless it
+    was generated from the run's pretrained model."""
+    prompts, manifest = load_prompts(_require(d / f"prompts_K{K}.ckpt", f"gen-prompts --k {K}"),
+                                     cfg, dataset, K)
+    _verify_upstream_hash(manifest, "pretrain", pre_manifest["blob_sha256"], stage)
+    return prompts
+
+
 def _new_prompts(path: Path, dataset: SplitDataset, pre: ModelParams, K: int,
                  cfg: RunConfig, pre_manifest: dict) -> list[PromptEnhancedSequence]:
     prompts = generate_prompt_cache(dataset, pre, K)
@@ -301,12 +337,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     hyper = replace(cfg.hyper(), prompt_window=K)
     prompt_path = d / f"prompts_K{K}.ckpt"
     if prompt_path.exists():
-        prompts, pr_manifest = load_prompts(prompt_path, cfg)
-        _verify_upstream_hash(pr_manifest, "pretrain", pre_manifest["blob_sha256"], "tune")
-        if len(prompts) != dataset.n_users or any(
-                v >= dataset.catalog.n_items for p in prompts for v in p.items):
-            raise CheckpointError(f"{prompt_path}: prompts do not fit the dataset's "
-                                  f"{dataset.n_users} users and {dataset.catalog.n_items} items")
+        prompts = _saved_prompts(cfg, d, dataset, K, pre_manifest, "tune")
     else:
         prompts = _new_prompts(prompt_path, dataset, pre, K, cfg, pre_manifest)
     tuned, report = prompt_tune(dataset, pre, prompts, hyper, cfg.tune_epochs,
@@ -323,12 +354,19 @@ def _mode_k(cfg: RunConfig, mode: str) -> int:
     return 0 if mode == "FINETUNE" else cfg.prompt_window
 
 
-def _load_for_eval(cfg: RunConfig, d: Path, modes) -> tuple[ModelParams, dict]:
+def _load_for_eval(cfg: RunConfig, d: Path, dataset: SplitDataset,
+                   modes) -> tuple[ModelParams, dict, dict]:
     """The pretrained model (every mode needs it, for scoring, prompts or the
-    upstream check) and, keyed by K, each tuned model a mode reads in MODES."""
+    upstream check) and, keyed by K, each tuned model a mode reads in MODES
+    and, for K > 0, the eval split's prompt-enhanced inputs, continued once
+    from the saved prompt cache and shared by every mode."""
     pretrained, pre_manifest = _load_pretrained(cfg, d)
     ks = sorted({_mode_k(cfg, mode) for mode in modes if MODES[mode][0] == "tuned"})
-    return pretrained, {K: _load_tuned(cfg, d, K, pre_manifest, "eval") for K in ks}
+    tuned = {K: _load_tuned(cfg, d, K, pre_manifest, "eval") for K in ks}
+    prompts = {K: prompt_inputs(dataset, cfg.eval_split, pretrained,
+                                _saved_prompts(cfg, d, dataset, K, pre_manifest, "eval"), K)
+               for K in ks if K > 0}
+    return pretrained, tuned, prompts
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
@@ -338,7 +376,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     csv_path, *dump_paths = _outputs(cfg, args, f"eval_{split}.csv", *dumps)
     d = csv_path.parent
     dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pretrained, tuned = _load_for_eval(cfg, d, modes)
+    pretrained, tuned, prompts = _load_for_eval(cfg, d, dataset, modes)
     rows = ["mode,metric,k,value,n_users"]
     for i, mode in enumerate(modes):
         K = _mode_k(cfg, mode)
@@ -346,7 +384,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             dataset, split, mode, pretrained=pretrained, tuned=tuned.get(K),
             ks=cfg.ks(), m=cfg.recall_m, n=cfg.recall_n, prompt_k=K,
             filter_history=cfg.filter_history,
-            dump_path=dump_paths[i] if args.dump else None,
+            dump_path=dump_paths[i] if args.dump else None, prompts=prompts.get(K),
         )
         print(report.table())
         print()
@@ -364,11 +402,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     pretrained, pre_manifest = _load_pretrained(cfg, d)
     ks = cfg.ks()
     if cfg.sweep_axis == "m_n":
-        tuned = _load_tuned(cfg, d, cfg.prompt_window, pre_manifest, "sweep")
+        K = cfg.prompt_window
+        tuned = _load_tuned(cfg, d, K, pre_manifest, "sweep")
+        prompts = _saved_prompts(cfg, d, dataset, K, pre_manifest, "sweep") if K else None
         table = sweep_mn(dataset, cfg.eval_split, pretrained, tuned,
-                         grid=mn_grid(max(ks)), ks=ks,
-                         prompt_k=cfg.prompt_window,
-                         filter_history=cfg.filter_history)
+                         grid=mn_grid(max(ks)), ks=ks, prompt_k=K,
+                         filter_history=cfg.filter_history, prompts=prompts)
     else:
         table = sweep_k(dataset, cfg.eval_split, pretrained, cfg.hyper(),
                         cfg.tune_epochs, ks=ks,

@@ -8,7 +8,7 @@ import numpy as np
 from .data import SplitDataset
 from .model import REAL, SCORER_OUTPUT_LAYER, SCORER_TIED_EMB, ModelParams
 from .recall import RecallResult, dump_recall_csv, recall_two_step
-from .training import generate_prompt_cache, generate_prompts, prompt_tune
+from .training import PromptEnhancedSequence, extend_prompts, generate_prompt_cache, prompt_tune
 
 # mode -> (which params, two_step?, scorer)
 MODES = {
@@ -91,14 +91,30 @@ def eval_input(dataset: SplitDataset, user: int, split: str) -> list[int]:
     raise EvalError(f"unknown split {split!r}")
 
 
-def _mode_input(dataset, user, split, which, prompt_k, prompt_params):
-    """Tuned-model modes see the same prompt-interleaved layout they were
-    tuned on; prompts come from the frozen pre-trained model, as in training."""
-    seq = eval_input(dataset, user, split)
-    if which == "tuned" and prompt_k > 0:
-        pes = generate_prompts(prompt_params, user, seq, prompt_k)
-        return pes.items, pes.segments
-    return seq, [REAL] * len(seq)
+def prompt_inputs(dataset: SplitDataset, split: str, pretrained: ModelParams, prompts,
+                  K: int) -> list[PromptEnhancedSequence]:
+    """Each user's prompt-enhanced input for the split at prompt window K.
+
+    Row u of `prompts` is continued by greedy prompts from the frozen
+    pre-trained model over the split's real items it does not hold yet. From
+    the train-prefix cache (generate_prompt_cache, as saved in
+    prompts_K{K}.ckpt) that is nothing on the valid split and the validation
+    item on test; rows this function returned come back unchanged, so one
+    call per (split, K) serves every mode and sweep point. With prompts None,
+    the train-prefix cache is generated first.
+    """
+    if prompts is None:
+        prompts = generate_prompt_cache(dataset, pretrained, K)
+    if len(prompts) != dataset.n_users:
+        raise EvalError(f"{len(prompts)} prompt rows for {dataset.n_users} users")
+    rows = []
+    for u, pes in enumerate(prompts):
+        seq = eval_input(dataset, u, split)
+        held = pes.real_items
+        if held != seq[:len(held)]:
+            raise EvalError(f"user {u}: prompt row's real items do not begin the {split} input")
+        rows.append(extend_prompts(pretrained, u, pes, seq[len(held):], K))
+    return rows
 
 
 def evaluate(
@@ -113,13 +129,16 @@ def evaluate(
     prompt_k: int = 0,
     filter_history: bool = False,
     dump_path=None,
+    prompts=None,
 ) -> MetricsReport:
     """Average HR@k / NDCG@k over all users for the given mode.
 
     FINETUNE expects `tuned` to be the K=0-tuned checkpoint; VARIANT modes map
     onto the same (params, recall path, scorer) table as the headline modes.
-    With prompt_k > 0, tuned-model modes are fed prompt-enhanced inputs
-    generated by the pre-trained model (so `pretrained` is required too).
+    With prompt_k > 0, tuned-model modes see the same prompt-interleaved
+    layout they were tuned on: prompt_inputs continues `prompts` (the
+    train-prefix cache, or rows prompt_inputs built for this split) with the
+    pre-trained model, so `pretrained` is required too.
     """
     mode = mode.upper()
     if mode not in MODES:
@@ -139,10 +158,16 @@ def evaluate(
     if m + n != k_max:
         raise EvalError(f"m+n={m + n} must equal k={k_max}")
 
+    if which == "tuned" and prompt_k > 0:
+        inputs = [(p.items, p.segments)
+                  for p in prompt_inputs(dataset, split, pretrained, prompts, prompt_k)]
+    else:
+        inputs = [(seq, [REAL] * len(seq))
+                  for seq in (eval_input(dataset, u, split) for u in range(dataset.n_users))]
+
     results = []
     hits = {(metric, k): 0.0 for k in ks for metric in ("HR", "NDCG")}
-    for u in range(dataset.n_users):
-        seq, segments = _mode_input(dataset, u, split, which, prompt_k, pretrained)
+    for u, (seq, segments) in enumerate(inputs):
         if not seq:
             continue
         target = int(dataset.test_target[u] if split == "test" else dataset.valid_target[u])
@@ -184,16 +209,21 @@ def sweep_mn(
     ks=(5, 10),
     prompt_k: int = 0,
     filter_history: bool = False,
+    prompts=None,
 ) -> SweepTable:
     """Vary only the two-step recall split over one tuned checkpoint; the
-    (k, 0) point is one-step recall, since two-step with n = 0 returns it."""
+    (k, 0) point is one-step recall, since two-step with n = 0 returns it.
+    The prompt-enhanced inputs are built from `prompts` (as in evaluate) once
+    and shared by every point."""
     if grid is None:
         grid = mn_grid(max(ks))
+    if prompt_k > 0:
+        prompts = prompt_inputs(dataset, split, pretrained, prompts, prompt_k)
     table = SweepTable(axis="m_n", points=list(grid))
     for m, n in grid:
         _collect(table, evaluate(dataset, split, "RECGPT", pretrained=pretrained,
                                  tuned=tuned, ks=ks, m=m, n=n, prompt_k=prompt_k,
-                                 filter_history=filter_history))
+                                 filter_history=filter_history, prompts=prompts))
     return table
 
 
@@ -221,5 +251,5 @@ def sweep_k(
                                tune_epochs, **tune_kwargs)
         _collect(table, evaluate(dataset, split, "RECGPT", pretrained=pretrained,
                                  tuned=tuned, ks=ks, m=m, n=n, prompt_k=K,
-                                 filter_history=filter_history))
+                                 filter_history=filter_history, prompts=prompts))
     return table

@@ -45,6 +45,10 @@ class PromptEnhancedSequence:
         """0-based indices of REAL items (1-based law: {1, 2+K, 3+2K, ...})."""
         return [i for i, s in enumerate(self.segments) if s == REAL]
 
+    @property
+    def real_items(self) -> list[int]:
+        return [v for v, s in zip(self.items, self.segments) if s == REAL]
+
 
 @dataclass
 class TrainReport:
@@ -199,25 +203,37 @@ def pretrain(
     return params, report
 
 
+def extend_prompts(params: ModelParams, user: int, pes: PromptEnhancedSequence, new_items,
+                   K: int) -> PromptEnhancedSequence:
+    """Continue a prompt-enhanced sequence with more real items: before each
+    new item, unless the sequence is still empty, K greedy prompts are
+    generated as in generate_prompts. Each step sees only the items already
+    placed, so extending generate_prompts(seq) by new_items gives exactly
+    generate_prompts(seq + new_items)."""
+    if K < 0:
+        raise TrainingError("K must be >= 0")
+    items, segments = list(pes.items), list(pes.segments)
+    for v in new_items:
+        if items:
+            for _ in range(K):
+                items.append(greedy_step(params, user, items, segments, SCORER_OUTPUT_LAYER)[1])
+                segments.append(PROMPT)
+        items.append(int(v))
+        segments.append(REAL)
+    return PromptEnhancedSequence(items, segments)
+
+
 def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhancedSequence:
     """Greedy left-to-right prompt generation from a (frozen) model.
 
     Before each real item after the first, K prompt items are generated one
     at a time: forward over the current prefix (segment-tagged, truncated to
     max_len), score with the output layer, append the argmax with a PROMPT
-    tag. K=0 returns the original sequence unchanged.
+    tag. The result follows the layout law: the first item is REAL, and
+    exactly K PROMPT items precede each later REAL item. K=0 returns the
+    original sequence unchanged.
     """
-    if K < 0:
-        raise TrainingError("K must be >= 0")
-    seq = [int(v) for v in seq]
-    items, segments = seq[:1], [REAL] * len(seq[:1])
-    for v in seq[1:]:
-        for _ in range(K):
-            items.append(greedy_step(params, user, items, segments, SCORER_OUTPUT_LAYER)[1])
-            segments.append(PROMPT)
-        items.append(v)
-        segments.append(REAL)
-    return PromptEnhancedSequence(items, segments)
+    return extend_prompts(params, user, PromptEnhancedSequence([], []), seq, K)
 
 
 def generate_prompt_cache(dataset: SplitDataset, params: ModelParams, K: int) -> list[PromptEnhancedSequence]:

@@ -1,9 +1,22 @@
 """Shared synthetic dataset builders and tiny-model helpers."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from recgpt.data import Catalog, SplitDataset
 from recgpt.model import HyperParams, ModelParams
+
+# property tests replay the same examples on every run, keep no example
+# database and stay within the tier-1 time budget; hypothesis still caches the
+# constants it reads from source files, so its storage lives outside the checkout
+settings.register_profile("recgpt", derandomize=True, database=None, max_examples=40,
+                          deadline=None)
+settings.load_profile("recgpt")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "recgpt-hypothesis")
 
 
 def make_dataset(sequences, valid, test, n_items, max_len=50):

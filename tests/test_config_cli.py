@@ -240,7 +240,7 @@ def test_pretrain_checks_its_report_before_writing_the_checkpoint(tmp_path, monk
 def prompt_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ragged")
     cfg_path = write_config(tmp, seed=5)
-    for cmd in (["preprocess"], ["pretrain"], ["gen-prompts"]):
+    for cmd in (["preprocess"], ["pretrain"], ["gen-prompts"], ["tune"], ["tune", "--k", "0"]):
         assert main(cmd + ["--config", str(cfg_path)]) == 0, cmd
     return cfg_path, tmp / "runs" / parse_config(cfg_path).config_hash()[:12]
 
@@ -364,3 +364,127 @@ def test_k_sweep_tunes_with_the_options_of_tune(tmp_path, monkeypatch):
     assert len(calls["cli"]) == 1 and calls["evaluation"]
     for options in calls["evaluation"]:
         assert options == calls["cli"][0]
+
+
+EVAL_INPUTS = ("dataset.ckpt", "pretrain.ckpt", "tuned_K1.ckpt", "tuned_K0.ckpt")
+
+
+def _del_meta(key):
+    def mutate(tensors, meta):
+        del meta[key]
+    return mutate
+
+
+def _set_meta(key, value):
+    def mutate(tensors, meta):
+        meta[key] = value
+    return mutate
+
+
+def _other_first_item(tensors, meta):
+    tensors["items"][0] = (tensors["items"][0] + 1) % 20
+
+
+def _prompt_as_real(tensors, meta):
+    tensors["segments"][1] = 0    # REAL where the layout law puts user 0's first prompt
+
+
+def _real_items_run_together(tensors, meta):
+    # user 0: v1, p, v2, ... -> v1, v2, p, ...: the same real items, out of layout
+    for key in ("items", "segments"):
+        tensors[key][[1, 2]] = tensors[key][[2, 1]]
+
+
+@pytest.mark.parametrize("stage", ["tune", "eval"])
+@pytest.mark.parametrize("mutate", [
+    _other_first_item,
+    _prompt_as_real,
+    _real_items_run_together,
+    _set_meta("K", 2),
+    _set("items", 1, 20),
+    _drop_last_user,
+    _del_meta("K"),
+], ids=["real_item_not_in_dataset", "prompt_tagged_real", "real_items_out_of_layout",
+        "other_k", "item_past_catalog", "user_count", "missing_k"])
+def test_saved_prompts_must_fit_the_dataset(prompt_run, tmp_path, stage, mutate, capsys):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    _resave(dest / "prompts_K1.ckpt", mutate)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 3
+    assert "prompts_K1.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["eval", "sweep"])
+def test_eval_and_sweep_need_the_saved_prompts(prompt_run, tmp_path, stage, capsys):
+    cfg_path, run = prompt_run
+    _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "recgpt gen-prompts --k 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["eval", "sweep"])
+def test_eval_and_sweep_refuse_prompts_of_another_pretrain(prompt_run, tmp_path, stage,
+                                                            capsys):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    _resave(dest / "prompts_K1.ckpt", _set_meta("upstream", {"pretrain": "0" * 64}))
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "upstream pretrain hash mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["eval", "sweep"])
+def test_eval_and_sweep_continue_each_saved_row_once(prompt_run, tmp_path, monkeypatch, stage):
+    import recgpt.evaluation
+
+    cfg_path, run = prompt_run
+    _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    extended = []
+
+    def extend(params, user, pes, new_items, K):
+        if new_items:
+            extended.append(user)
+        return recgpt.training.extend_prompts(params, user, pes, new_items, K)
+
+    monkeypatch.setattr(recgpt.evaluation, "generate_prompt_cache", _refuse)
+    monkeypatch.setattr(recgpt.evaluation, "extend_prompts", extend)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert sorted(extended) == list(range(20))
+
+
+def test_finetune_eval_needs_no_prompts(tmp_path):
+    cfg_path = write_config(tmp_path, seed=17, eval_modes="FINETUNE")
+    run = tmp_path / "runs" / parse_config(cfg_path).config_hash()[:12]
+    for cmd in (["preprocess"], ["pretrain"], ["tune", "--k", "0"]):
+        assert main(cmd + ["--config", str(cfg_path)]) == 0, cmd
+    for path in run.glob("prompts_K*.ckpt"):
+        path.unlink()
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("name,stage,mutate", [
+    ("dataset.ckpt", "gen-prompts", _del_meta("users")),
+    ("pretrain.ckpt", "gen-prompts", _del_meta("n_items")),
+    ("prompts_K1.ckpt", "tune", _del_meta("n_users")),
+], ids=["dataset_users", "model_n_items", "prompts_n_users"])
+def test_loaders_refuse_a_manifest_missing_a_meta_key(prompt_run, tmp_path, name, stage,
+                                                       mutate, capsys):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt", "prompts_K1.ckpt"))
+    _resave(dest / name, mutate)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "missing key" in err
+
+
+@pytest.mark.parametrize("mutate", [_del_meta("hyper"),
+                                    _set_meta("hyper", {"d": 8, "not_a_field": 1})],
+                         ids=["missing_hyper", "unknown_hyper_field"])
+def test_load_model_refuses_saved_hyper_it_cannot_build(prompt_run, tmp_path, mutate):
+    from recgpt.checkpoint import CheckpointError
+    from recgpt.cli import load_model
+
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, ("pretrain.ckpt",))
+    _resave(dest / "pretrain.ckpt", mutate)
+    with pytest.raises(CheckpointError, match="pretrain.ckpt.*'hyper'"):
+        load_model(dest / "pretrain.ckpt", parse_config(cfg_path), "pretrain")

@@ -12,9 +12,10 @@ from recgpt.evaluation import (
     hr_at_k,
     mn_grid,
     ndcg_at_k,
+    prompt_inputs,
     sweep_mn,
 )
-from recgpt.training import generate_prompt_cache, pretrain, prompt_tune
+from recgpt.training import generate_prompt_cache, generate_prompts, pretrain, prompt_tune
 
 from conftest import tiny_dataset, tiny_hyper, tiny_params
 
@@ -172,3 +173,58 @@ def test_sweep_mn_first_row_equals_one_step_eval():
     csv = table.csv()
     assert csv.splitlines()[1].startswith("10_0,")
     assert len(csv.splitlines()) == 1 + len(mn_grid(10))
+
+
+# ---------------------------------------------------------------------------
+# eval-time prompts continue the train-prefix cache
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prompted():
+    """A pretrained and a K=2-tuned model on histories longer than max_len,
+    so building the test input shifts the truncation window."""
+    ds = tiny_dataset(n_users=6, n_items=12, length=9, seed=21, max_len=4)
+    hp = tiny_hyper(seed=21, max_len=4, prompt_window=2)
+    pre, _ = pretrain(ds, hp, epochs=1)
+    cache = generate_prompt_cache(ds, pre, 2)
+    tuned, _ = prompt_tune(ds, pre, cache, hp, epochs=1)
+    return ds, pre, tuned, cache
+
+
+@pytest.mark.parametrize("split", ["valid", "test"])
+def test_prompt_inputs_equal_prompts_generated_over_the_eval_input(prompted, split):
+    ds, pre, _, cache = prompted
+    rows = prompt_inputs(ds, split, pre, cache, 2)
+    for u, row in enumerate(rows):
+        whole = generate_prompts(pre, u, eval_input(ds, u, split), 2)
+        assert (row.items, row.segments) == (whole.items, whole.segments)
+    assert [(r.items, r.segments) for r in prompt_inputs(ds, split, pre, rows, 2)] == \
+        [(r.items, r.segments) for r in rows]
+    if split == "valid":
+        assert [(r.items, r.segments) for r in rows] == [(c.items, c.segments) for c in cache]
+
+
+@pytest.mark.parametrize("split", ["valid", "test"])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_evaluate_with_and_without_a_prompt_cache_agree(prompted, tmp_path, split, mode):
+    ds, pre, tuned, cache = prompted
+    kwargs = dict(pretrained=pre, tuned=tuned, ks=(5,), m=4, n=1, prompt_k=2,
+                  filter_history=True)
+    prompts = {"none": None, "cache": cache,
+               "split": prompt_inputs(ds, split, pre, cache, 2)}
+    reports, dumps = [], []
+    for name, given_prompts in prompts.items():
+        dump = tmp_path / f"{name}.csv"
+        reports.append(evaluate(ds, split, mode, dump_path=dump, prompts=given_prompts,
+                                **kwargs))
+        dumps.append(dump.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert dumps[0] == dumps[1] == dumps[2]
+
+
+def test_prompt_inputs_refuse_rows_of_other_histories(prompted):
+    ds, pre, _, cache = prompted
+    with pytest.raises(EvalError, match="user 0"):
+        prompt_inputs(ds, "test", pre, cache[1:] + cache[:1], 2)
+    with pytest.raises(EvalError, match="prompt rows"):
+        prompt_inputs(ds, "test", pre, cache[1:], 2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from recgpt.model import (
     PROMPT,
@@ -16,10 +18,11 @@ from recgpt.model import (
     score_items,
 )
 from recgpt.numerics import bce_pair_loss, cross_entropy
-from recgpt.recall import recall_one_step
+from recgpt.recall import greedy_step, recall_one_step
 from recgpt.training import (
     PromptEnhancedSequence,
     TrainingError,
+    extend_prompts,
     generate_prompt_cache,
     generate_prompts,
     pretrain,
@@ -180,6 +183,42 @@ def test_generate_prompt_cache_deterministic():
     a = generate_prompt_cache(ds, params, 2)
     b = generate_prompt_cache(ds, params, 2)
     assert [(p.items, p.segments) for p in a] == [(p.items, p.segments) for p in b]
+
+
+def regenerate_prompts(params, user, seq, K):
+    """Prompt generation over the whole sequence at once, one greedy step per
+    prompt: the path that extend_prompts continues from a saved row."""
+    items, segments = [int(v) for v in seq[:1]], [REAL] * len(seq[:1])
+    for v in seq[1:]:
+        for _ in range(K):
+            items.append(greedy_step(params, user, items, segments, SCORER_OUTPUT_LAYER)[1])
+            segments.append(PROMPT)
+        items.append(int(v))
+        segments.append(REAL)
+    return items, segments
+
+
+@given(prefix=st.lists(st.integers(0, 7), max_size=9),
+       new_items=st.lists(st.integers(0, 7), max_size=3),
+       K=st.integers(0, 3), max_len=st.sampled_from([2, 3, 5, 12]),
+       user=st.integers(0, 2), seed=st.integers(0, 3), ties=st.booleans())
+@example(prefix=[], new_items=[5], K=2, max_len=3, user=0, seed=0, ties=True)
+@example(prefix=[4], new_items=[1, 6], K=3, max_len=2, user=1, seed=1, ties=True)
+@example(prefix=[0, 1, 2, 3, 4, 5, 6], new_items=[7], K=3, max_len=5, user=2, seed=2,
+         ties=False)
+def test_extending_a_cached_row_equals_regenerating(prefix, new_items, K, max_len, user,
+                                                    seed, ties):
+    params = tiny_params(n_items=8, seed=seed, max_len=max_len)
+    if ties:
+        # duplicated output rows: every argmax has a tie, broken to the lower index
+        w_l = params["W_l"].value
+        w_l[1::2] = w_l[0::2]
+    cached = generate_prompts(params, user, prefix, K)
+    extended = extend_prompts(params, user, cached, new_items, K)
+    whole = generate_prompts(params, user, prefix + new_items, K)
+    assert (extended.items, extended.segments) == (whole.items, whole.segments)
+    assert (whole.items, whole.segments) == regenerate_prompts(params, user,
+                                                               prefix + new_items, K)
 
 
 def test_regeneration_policy():
