@@ -69,12 +69,39 @@ def _load_checked(path, cfg: RunConfig, stage: str, *names: str) -> tuple[dict, 
     return tensors, manifest
 
 
+def _is_int(v, low: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+_STRINGS = ("a list of strings", lambda v: isinstance(v, list)
+            and all(isinstance(x, str) for x in v))
+_POSITIVE = ("a positive integer", lambda v: _is_int(v, 1))
+# manifest meta key -> (what its value must be, check)
+_META_TYPES = {
+    "users": _STRINGS,
+    "items": _STRINGS,
+    "max_len": _POSITIVE,
+    "n_users": _POSITIVE,
+    "n_items": _POSITIVE,
+    "K": ("a non-negative integer", lambda v: _is_int(v, 0)),
+    "hyper": ("a dict keyed by strings", lambda v: isinstance(v, dict)
+              and all(isinstance(x, str) for x in v)),
+    "upstream": ("a dict of strings", lambda v: isinstance(v, dict)
+                 and all(isinstance(x, str) for x in (*v, *v.values()))),
+}
+
+
 def _meta(path, manifest: dict, *keys: str) -> list:
-    """The named values of a manifest's meta, refusing one that is missing."""
+    """The named values of a manifest's meta, refusing one that is missing
+    or not of its key's type in _META_TYPES."""
     meta = manifest.get("meta")
     for key in keys:
         if not isinstance(meta, dict) or key not in meta:
             raise CheckpointError(f"{path}: manifest meta missing key {key!r}")
+        what, check = _META_TYPES[key]
+        if not check(meta[key]):
+            raise CheckpointError(f"{path}: manifest meta key {key!r} must be {what}, "
+                                  f"got {meta[key]!r:.40}")
     return [meta[key] for key in keys]
 
 
@@ -138,7 +165,7 @@ def load_dataset(path, cfg: RunConfig) -> tuple[SplitDataset, dict]:
         _unpack(path, tensors[name], np.asarray([0, catalog.n_users]), 1,
                 catalog.n_items, name)
     dataset = SplitDataset(sequences, tensors["valid_target"], tensors["test_target"],
-                           catalog, max_len=int(max_len))
+                           catalog, max_len=max_len)
     return dataset, manifest
 
 
@@ -219,8 +246,9 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _verify_upstream_hash(manifest: dict, key: str, expected: str, stage: str) -> None:
-    recorded = manifest.get("meta", {}).get("upstream", {}).get(key)
+def _verify_upstream_hash(path, manifest: dict, key: str, expected: str, stage: str) -> None:
+    [upstream] = _meta(path, manifest, "upstream")
+    recorded = upstream.get(key)
     if recorded != expected:
         raise StageError(
             f"stage {stage}: upstream {key} hash mismatch "
@@ -288,9 +316,9 @@ def _load_pretrained(cfg: RunConfig, d: Path) -> tuple[ModelParams, dict]:
 
 
 def _load_tuned(cfg: RunConfig, d: Path, K: int, pre_manifest: dict, stage: str) -> ModelParams:
-    tuned, manifest = load_model(_require(d / f"tuned_K{K}.ckpt", f"tune --k {K}"), cfg,
-                                 "tune", hyper=cfg.hyper())
-    _verify_upstream_hash(manifest, "pretrain", pre_manifest["blob_sha256"], stage)
+    path = _require(d / f"tuned_K{K}.ckpt", f"tune --k {K}")
+    tuned, manifest = load_model(path, cfg, "tune", hyper=cfg.hyper())
+    _verify_upstream_hash(path, manifest, "pretrain", pre_manifest["blob_sha256"], stage)
     return tuned
 
 
@@ -298,9 +326,9 @@ def _saved_prompts(cfg: RunConfig, d: Path, dataset: SplitDataset, K: int,
                    pre_manifest: dict, stage: str) -> list[PromptEnhancedSequence]:
     """prompts_K{K}.ckpt, checked against the dataset and refused unless it
     was generated from the run's pretrained model."""
-    prompts, manifest = load_prompts(_require(d / f"prompts_K{K}.ckpt", f"gen-prompts --k {K}"),
-                                     cfg, dataset, K)
-    _verify_upstream_hash(manifest, "pretrain", pre_manifest["blob_sha256"], stage)
+    path = _require(d / f"prompts_K{K}.ckpt", f"gen-prompts --k {K}")
+    prompts, manifest = load_prompts(path, cfg, dataset, K)
+    _verify_upstream_hash(path, manifest, "pretrain", pre_manifest["blob_sha256"], stage)
     return prompts
 
 
@@ -322,7 +350,8 @@ def cmd_gen_prompts(cfg: RunConfig, args) -> int:
     [path] = _outputs(cfg, args, f"prompts_K{K}.ckpt")
     dataset, ds_manifest = load_dataset(_require(path.parent / "dataset.ckpt", "preprocess"), cfg)
     params, pre_manifest = _load_pretrained(cfg, path.parent)
-    _verify_upstream_hash(pre_manifest, "preprocess", ds_manifest["blob_sha256"], "gen-prompts")
+    _verify_upstream_hash(path.parent / "pretrain.ckpt", pre_manifest, "preprocess",
+                          ds_manifest["blob_sha256"], "gen-prompts")
     _new_prompts(path, dataset, params, K, cfg, pre_manifest)
     print(f"generated prompts for {dataset.n_users} users at K={K}; wrote {path}")
     return 0

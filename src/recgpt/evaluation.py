@@ -7,8 +7,8 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import REAL, SCORER_OUTPUT_LAYER, SCORER_TIED_EMB, ModelParams
-from .recall import RecallResult, dump_recall_csv, recall_two_step
-from .training import PromptEnhancedSequence, extend_prompts, generate_prompt_cache, prompt_tune
+from .recall import RecallResult, dump_recall_csv, recall_rows
+from .training import PromptEnhancedSequence, extend_prompt_rows, generate_prompt_cache, prompt_tune
 
 # mode -> (which params, two_step?, scorer)
 MODES = {
@@ -107,14 +107,14 @@ def prompt_inputs(dataset: SplitDataset, split: str, pretrained: ModelParams, pr
         prompts = generate_prompt_cache(dataset, pretrained, K)
     if len(prompts) != dataset.n_users:
         raise EvalError(f"{len(prompts)} prompt rows for {dataset.n_users} users")
-    rows = []
+    new_items = []
     for u, pes in enumerate(prompts):
         seq = eval_input(dataset, u, split)
         held = pes.real_items
         if held != seq[:len(held)]:
             raise EvalError(f"user {u}: prompt row's real items do not begin the {split} input")
-        rows.append(extend_prompts(pretrained, u, pes, seq[len(held):], K))
-    return rows
+        new_items.append(seq[len(held):])
+    return extend_prompt_rows(pretrained, range(dataset.n_users), prompts, new_items, K)
 
 
 def evaluate(
@@ -165,15 +165,12 @@ def evaluate(
         inputs = [(seq, [REAL] * len(seq))
                   for seq in (eval_input(dataset, u, split) for u in range(dataset.n_users))]
 
-    results = []
+    users = [u for u, (seq, _) in enumerate(inputs) if seq]
+    results = recall_rows(params, users, [inputs[u] for u in users], m, n, scorer,
+                          filter_history=filter_history)
     hits = {(metric, k): 0.0 for k in ks for metric in ("HR", "NDCG")}
-    for u, (seq, segments) in enumerate(inputs):
-        if not seq:
-            continue
+    for u, res in zip(users, results):
         target = int(dataset.test_target[u] if split == "test" else dataset.valid_target[u])
-        res = recall_two_step(params, u, seq, m, n, scorer, segments=segments,
-                              filter_history=filter_history)
-        results.append(res)
         for k in ks:
             hits[("HR", k)] += hr_at_k(res, target, k)
             hits[("NDCG", k)] += ndcg_at_k(res, target, k)

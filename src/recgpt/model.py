@@ -7,6 +7,8 @@ self-attention (scores scaled by sqrt(d), the full model dimension) followed
 by a two-layer ReLU FFN. No residuals, no layer norm, no dropout.
 
 Gradients are hand-written: forward() returns caches that backward() consumes.
+Inference reads only the final position and runs last_hidden(), a stacked
+batch forward without caches whose rows equal forward()'s bit for bit.
 """
 from __future__ import annotations
 
@@ -175,17 +177,20 @@ class ForwardCache:
     blocks: list
 
 
-def embed_input(params: ModelParams, user: int, items, segments) -> np.ndarray:
-    """h0[t] = W_u[user] + W_e[items[t]] + W_p[t] + W_s[segments[t]]."""
+def embed_input(params: ModelParams, user, items, segments) -> np.ndarray:
+    """h0[t] = W_u[user] + W_e[items[t]] + W_p[t] + W_s[segments[t]].
+
+    One user's (L,) items give (L, d); users of shape (B,) with (B, L) items
+    give the stacked (B, L, d), each slice equal to the per-user sum."""
     items = np.asarray(items)
     segments = np.asarray(segments)
-    L = items.shape[0]
+    L = items.shape[-1]
     if L > params.hyper.max_len:
         raise NumericsError(f"sequence length {L} exceeds max_len {params.hyper.max_len}")
-    if segments.shape[0] != L:
+    if segments.shape != items.shape:
         raise NumericsError("segments misaligned with items")
     h0 = (
-        params["W_u"].value[user][None, :]
+        params["W_u"].value[user][..., None, :]
         + params["W_e"].value[items]
         + params["W_p"].value[:L]
         + params["W_s"].value[segments]
@@ -193,12 +198,14 @@ def embed_input(params: ModelParams, user: int, items, segments) -> np.ndarray:
     return h0
 
 
-def decoder_block(params: ModelParams, layer: int, h: np.ndarray) -> tuple[np.ndarray, BlockCache]:
+def _attention(params: ModelParams, layer: int, h: np.ndarray):
+    """Masked multi-head self-attention over every position of h, (L, d) or
+    stacked (B, L, d); returns q, k, v, the per-head weights and the heads'
+    concatenated outputs."""
     hp = params.hyper
     d = hp.d
     head_dim = d // hp.n_heads
-    L = h.shape[0]
-    mask = causal_mask(L, dtype=h.dtype)
+    mask = causal_mask(h.shape[-2], dtype=h.dtype)
 
     q = h @ params[f"layer{layer}.W_q"].value
     k = h @ params[f"layer{layer}.W_k"].value
@@ -209,16 +216,27 @@ def decoder_block(params: ModelParams, layer: int, h: np.ndarray) -> tuple[np.nd
     scale = 1.0 / np.sqrt(np.asarray(d, dtype=h.dtype))
     for hd in range(hp.n_heads):
         sl = slice(hd * head_dim, (hd + 1) * head_dim)
-        scores = (q[:, sl] @ k[:, sl].T) * scale
+        scores = (q[..., sl] @ k[..., sl].swapaxes(-1, -2)) * scale
         p = masked_softmax(scores, mask)
         probs.append(p)
-        att_concat[:, sl] = p @ v[:, sl]
+        att_concat[..., sl] = p @ v[..., sl]
+    return q, k, v, probs, att_concat
 
+
+def _block_output(params: ModelParams, layer: int, att_concat: np.ndarray):
+    """The W^S projection and the ReLU FFN, row by row; returns s, the FFN
+    pre-activation, its ReLU and the block output."""
     s = att_concat @ params[f"layer{layer}.W_s"].value
     a1 = s @ params[f"layer{layer}.W_1"].value + params[f"layer{layer}.b_1"].value
     r1 = relu(a1)
     out = r1 @ params[f"layer{layer}.W_2"].value + params[f"layer{layer}.b_2"].value
     require_finite(out, f"decoder block {layer} output")
+    return s, a1, r1, out
+
+
+def decoder_block(params: ModelParams, layer: int, h: np.ndarray) -> tuple[np.ndarray, BlockCache]:
+    q, k, v, probs, att_concat = _attention(params, layer, h)
+    s, a1, r1, out = _block_output(params, layer, att_concat)
     return out, BlockCache(h, q, k, v, probs, att_concat, s, a1, r1)
 
 
@@ -292,6 +310,34 @@ def backward(params: ModelParams, cache: ForwardCache, d_h: np.ndarray) -> None:
     embedding_backward(d_h, cache.items, params["W_e"].grad)
     params["W_p"].grad[:L] += d_h
     embedding_backward(d_h, cache.segments, params["W_s"].grad)
+
+
+def last_hidden(params: ModelParams, users, items, segments) -> np.ndarray:
+    """Hidden state at the final position of each row of a stacked batch.
+
+    users is (B,) with B >= 2, items and segments are (B, L) with L >= 1;
+    row b of the (B, d) result is bit-identical to forward(params, users[b],
+    items[b], segments[b])[0][-1]. Attention runs over every position as
+    stacked (B, L, d) matmuls, whose slices equal the per-user 2-D products.
+    Only the final position is read, so on the last layer W^S and the FFN run
+    on it alone as one (B, d) matmul: the rows of a matmul with at least two
+    rows do not depend on how many it has. At L = 1 that would be a one-row
+    product per user, which takes another BLAS path, so the last layer keeps
+    the stacked per-position form; for the same reason a single row must run
+    the per-user forward. No caches are kept.
+    """
+    items = np.asarray(items)
+    segments = np.asarray(segments)
+    if items.ndim != 2 or items.shape[0] < 2:
+        raise NumericsError(f"last_hidden needs a (B, L) batch with B >= 2, got {items.shape}")
+    h = embed_input(params, np.asarray(users), items, segments)
+    last = params.hyper.n_layers - 1
+    for l in range(last + 1):
+        att_concat = _attention(params, l, h)[-1]
+        if l == last and h.shape[1] > 1:
+            att_concat = att_concat[:, -1]
+        h = _block_output(params, l, att_concat)[-1]
+    return h if h.ndim == 2 else h[:, -1]
 
 
 def score_items(params: ModelParams, h: np.ndarray, scorer: str) -> np.ndarray:

@@ -65,8 +65,9 @@ def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row softmax of logits + mask; entries masked with -inf come out exactly 0."""
-    if logits.shape != mask.shape:
+    """Row softmax of logits + mask; entries masked with -inf come out exactly 0.
+    An (L, L) mask broadcasts over stacked (B, L, L) logits."""
+    if logits.shape[logits.ndim - mask.ndim:] != mask.shape:
         raise NumericsError(f"softmax mask shape {mask.shape} != logits {logits.shape}")
     require_finite(logits, "softmax logits")
     x = logits + mask

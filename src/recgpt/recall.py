@@ -1,4 +1,5 @@
-"""Inference: one-step inner-product recall and two-step autoregressive recall."""
+"""Inference: one-step inner-product recall and two-step autoregressive recall,
+batched over rows of equal truncated length."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import truncate_last
-from .model import PROMPT, REAL, ModelParams, forward, rank_items, score_items
+from .model import PROMPT, REAL, ModelParams, forward, last_hidden, rank_items, score_items
 
 STEP1 = "STEP1"
 STEP2 = "STEP2"
@@ -20,6 +21,11 @@ class RecallResult:
     provenance: list[str]    # STEP1 or STEP2 per item
 
 
+# positions per stacked forward: one call's activations stay near L2-sized at
+# d = 64, and whole buckets of long rows would raise peak memory
+CHUNK_POSITIONS = 512
+
+
 def _real_items(seq, segments) -> set[int]:
     return {int(v) for v, s in zip(seq, segments) if s == REAL}
 
@@ -30,35 +36,100 @@ def _tagged(seq, segments) -> tuple[list, list]:
     return seq, [REAL] * len(seq) if segments is None else list(segments)
 
 
-def _final_hidden(params: ModelParams, user: int, items, segments) -> np.ndarray:
-    """Hidden state at the last position of the final max_len items."""
-    items, segments = truncate_last(list(items), list(segments), params.hyper.max_len)
-    h, _ = forward(params, user, items, segments)
-    return h[-1]
+def final_hidden(params: ModelParams, users, rows) -> np.ndarray:
+    """Hidden state at the last position of each row's final max_len items,
+    (len(rows), d) in input order; rows are (items, segments) pairs.
+
+    Rows of equal truncated length run together through model.last_hidden,
+    at most CHUNK_POSITIONS positions per call, so row b is bit-identical to
+    forward(params, users[b], *truncated rows[b])[0][-1]. A lone row runs
+    that per-user forward: last_hidden needs two rows or more."""
+    cut = [truncate_last(list(items), list(segments), params.hyper.max_len)
+           for items, segments in rows]
+    by_len: dict[int, list[int]] = {}
+    for i, (items, _) in enumerate(cut):
+        if not items:
+            raise ValueError(f"row {i}: no hidden state for an empty sequence")
+        by_len.setdefault(len(items), []).append(i)
+    out = np.empty((len(rows), params.hyper.d), dtype=params.dtype)
+    for L, idx in by_len.items():
+        n_calls = -(-len(idx) // max(1, CHUNK_POSITIONS // L))
+        for chunk in np.array_split(np.asarray(idx), n_calls):
+            if len(chunk) == 1:
+                out[chunk] = forward(params, users[chunk[0]], *cut[chunk[0]])[0][-1]
+            else:
+                out[chunk] = last_hidden(params, [users[i] for i in chunk],
+                                         [cut[i][0] for i in chunk], [cut[i][1] for i in chunk])
+    return out
+
+
+def greedy_steps(params: ModelParams, users, rows, scorer: str) -> tuple[np.ndarray, list[int]]:
+    """One greedy decoding step per row: the final hidden states and each
+    row's top-scoring item. np.argmax takes the lowest index among tied
+    maxima, the same item as rank_items(logits, 1)[0]."""
+    hidden = final_hidden(params, users, rows)
+    return hidden, [int(np.argmax(score_items(params, h, scorer))) for h in hidden]
 
 
 def greedy_step(params: ModelParams, user: int, items, segments, scorer: str
                 ) -> tuple[np.ndarray, int]:
-    """One greedy decoding step: the final hidden state and the top-scoring
-    item. np.argmax takes the lowest index among tied maxima, the same item
-    as rank_items(logits, 1)[0]."""
-    h = _final_hidden(params, user, items, segments)
-    return h, int(np.argmax(score_items(params, h, scorer)))
+    """greedy_steps for one row."""
+    hidden, [item] = greedy_steps(params, [user], [(items, segments)], scorer)
+    return hidden[0], item
+
+
+def _first_step(params: ModelParams, users, rows, k: int, scorer: str,
+                filter_history: bool) -> list[RecallResult]:
+    """Top-k by logit from each row's final hidden state."""
+    out = []
+    for user, (seq, segments), h in zip(users, rows, final_hidden(params, users, rows)):
+        logits = score_items(params, h, scorer)
+        # history filtering excludes real interactions only, never prompt items
+        exclude = _real_items(seq, segments) if filter_history else None
+        top = rank_items(logits, k, exclude=exclude)
+        out.append(RecallResult(user, top, logits[top], [STEP1] * len(top)))
+    return out
+
+
+def _second_step(params: ModelParams, users, rows, step1: list[RecallResult], n: int,
+                 scorer: str, filter_history: bool) -> list[RecallResult]:
+    """Append each row's step-1 argmax as a PROMPT, re-run, and fill n more
+    slots from the second ranking, skipping items already selected."""
+    grown = [(seq + [int(res.items[0])], segments + [PROMPT])
+             for (seq, segments), res in zip(rows, step1)]
+    out = []
+    for (seq, segments), res, h in zip(rows, step1, final_hidden(params, users, grown)):
+        logits = score_items(params, h, scorer)
+        exclude = {int(i) for i in res.items}
+        if filter_history:
+            exclude |= _real_items(seq, segments)
+        fill = rank_items(logits, n, exclude=exclude)
+        out.append(RecallResult(res.user, np.concatenate([res.items, fill]),
+                                np.concatenate([res.scores, logits[fill]]),
+                                res.provenance + [STEP2] * len(fill)))
+    return out
+
+
+def recall_rows(params: ModelParams, users, rows, m: int, n: int, scorer: str,
+                filter_history: bool = False) -> list[RecallResult]:
+    """Two-step recall for every (items, segments) row, one-step when n = 0;
+    result b equals recall_two_step(params, users[b], *rows[b], m, n, ...)."""
+    rows = [_tagged(seq, segments) for seq, segments in rows]
+    if m < 1 or n < 0:
+        raise ValueError("recall requires m >= 1 and n >= 0")
+    if not all(seq for seq, _ in rows):
+        raise ValueError("recall requires a non-empty sequence")
+    step1 = _first_step(params, users, rows, m, scorer, filter_history)
+    return step1 if n == 0 else _second_step(params, users, rows, step1, n, scorer,
+                                             filter_history)
 
 
 def recall_one_step(params: ModelParams, user: int, seq, k: int, scorer: str,
                     segments=None, filter_history: bool = False) -> RecallResult:
     """Score the whole catalog from the final hidden state; top-k by logit,
     ties broken by ascending item index."""
-    seq, segments = _tagged(seq, segments)
-    if not seq:
-        raise ValueError("recall requires a non-empty sequence")
-    h = _final_hidden(params, user, seq, segments)
-    logits = score_items(params, h, scorer)
-    # history filtering excludes real interactions only, never prompt items
-    exclude = _real_items(seq, segments) if filter_history else None
-    top = rank_items(logits, k, exclude=exclude)
-    return RecallResult(user, top, logits[top], [STEP1] * len(top))
+    [res] = recall_rows(params, [user], [(seq, segments)], k, 0, scorer, filter_history)
+    return res
 
 
 def recall_two_step(params: ModelParams, user: int, seq, m: int, n: int, scorer: str,
@@ -66,21 +137,14 @@ def recall_two_step(params: ModelParams, user: int, seq, m: int, n: int, scorer:
     """Step A: top-m from the current hidden state; step B: append the step-A
     argmax (tagged PROMPT), re-run, and fill the remaining n slots from the
     second ranking, skipping items already selected."""
-    if m < 1 or n < 0:
-        raise ValueError("recall_two_step requires m >= 1 and n >= 0")
-    step1 = recall_one_step(params, user, seq, m, scorer,
-                            segments=segments, filter_history=filter_history)
+    if n < 0:
+        raise ValueError("recall requires m >= 1 and n >= 0")
+    step1 = recall_one_step(params, user, seq, m, scorer, segments=segments,
+                            filter_history=filter_history)
     if n == 0:
         return step1
-    seq, segments = _tagged(seq, segments)
-    h2 = _final_hidden(params, user, seq + [int(step1.items[0])], segments + [PROMPT])
-    logits2 = score_items(params, h2, scorer)
-    chosen = set(int(i) for i in step1.items)
-    exclude = chosen | (_real_items(seq, segments) if filter_history else set())
-    fill = rank_items(logits2, n, exclude=exclude)
-    items = np.concatenate([step1.items, fill])
-    scores = np.concatenate([step1.scores, logits2[fill]])
-    return RecallResult(user, items, scores, [STEP1] * m + [STEP2] * len(fill))
+    return _second_step(params, [user], [_tagged(seq, segments)], [step1], n, scorer,
+                        filter_history)[0]
 
 
 def interest_vectors(params: ModelParams, user: int, seq, steps: int, scorer: str,

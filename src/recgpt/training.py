@@ -21,7 +21,7 @@ from .model import (
     score_items,
 )
 from .numerics import AdamState, adam_step, bce_pair_loss, cross_entropy
-from .recall import _final_hidden, greedy_step
+from .recall import final_hidden, greedy_steps
 
 
 class TrainingError(RuntimeError):
@@ -69,11 +69,12 @@ def _param_norms(params: ModelParams) -> dict:
 def _valid_hr_at_10(dataset: SplitDataset, params: ModelParams, scorer: str,
                     inputs) -> float:
     """HR@10 predicting the validation target from each user's
-    (items, segments) input, used for early stopping."""
-    hits = 0
-    for u, (items, segments) in enumerate(inputs):
-        logits = score_items(params, _final_hidden(params, u, items, segments), scorer)
-        hits += int(dataset.valid_target[u]) in rank_items(logits, 10).tolist()
+    (items, segments) input, used for early stopping; an empty input is a
+    miss."""
+    users = [u for u, (items, _) in enumerate(inputs) if items]
+    hidden = final_hidden(params, users, [inputs[u] for u in users])
+    hits = sum(int(dataset.valid_target[u]) in rank_items(score_items(params, h, scorer), 10)
+               for u, h in zip(users, hidden))
     return hits / max(1, dataset.n_users)
 
 
@@ -203,24 +204,39 @@ def pretrain(
     return params, report
 
 
-def extend_prompts(params: ModelParams, user: int, pes: PromptEnhancedSequence, new_items,
-                   K: int) -> PromptEnhancedSequence:
-    """Continue a prompt-enhanced sequence with more real items: before each
-    new item, unless the sequence is still empty, K greedy prompts are
-    generated as in generate_prompts. Each step sees only the items already
-    placed, so extending generate_prompts(seq) by new_items gives exactly
+def extend_prompt_rows(params: ModelParams, users, rows: list[PromptEnhancedSequence],
+                       new_items, K: int) -> list[PromptEnhancedSequence]:
+    """Continue each prompt-enhanced sequence rows[i] (of user users[i]) with
+    the real items new_items[i]: before each new item, unless the sequence is
+    still empty, K greedy prompts are generated as in generate_prompts. Every
+    row steps in lockstep, one greedy step for all rows at a time. Each step
+    sees only the items already placed in its row, so extending
+    generate_prompts(seq) by new_items gives exactly
     generate_prompts(seq + new_items)."""
     if K < 0:
         raise TrainingError("K must be >= 0")
-    items, segments = list(pes.items), list(pes.segments)
-    for v in new_items:
-        if items:
-            for _ in range(K):
-                items.append(greedy_step(params, user, items, segments, SCORER_OUTPUT_LAYER)[1])
-                segments.append(PROMPT)
-        items.append(int(v))
-        segments.append(REAL)
-    return PromptEnhancedSequence(items, segments)
+    items = [list(p.items) for p in rows]
+    segments = [list(p.segments) for p in rows]
+    for t in range(max(map(len, new_items), default=0)):
+        placing = [i for i, new in enumerate(new_items) if t < len(new)]
+        prompted = [i for i in placing if items[i]]
+        for _ in range(K if prompted else 0):
+            _, picks = greedy_steps(params, [users[i] for i in prompted],
+                                    [(items[i], segments[i]) for i in prompted],
+                                    SCORER_OUTPUT_LAYER)
+            for i, v in zip(prompted, picks):
+                items[i].append(v)
+                segments[i].append(PROMPT)
+        for i in placing:
+            items[i].append(int(new_items[i][t]))
+            segments[i].append(REAL)
+    return [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)]
+
+
+def extend_prompts(params: ModelParams, user: int, pes: PromptEnhancedSequence, new_items,
+                   K: int) -> PromptEnhancedSequence:
+    """extend_prompt_rows for one row."""
+    return extend_prompt_rows(params, [user], [pes], [new_items], K)[0]
 
 
 def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhancedSequence:
@@ -237,9 +253,11 @@ def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhan
 
 
 def generate_prompt_cache(dataset: SplitDataset, params: ModelParams, K: int) -> list[PromptEnhancedSequence]:
-    """One PromptEnhancedSequence per user, from the user's train prefix."""
-    return [generate_prompts(params, u, dataset.sequences[u], K)
-            for u in range(dataset.n_users)]
+    """One PromptEnhancedSequence per user, from the user's train prefix,
+    generated for every user in lockstep."""
+    return extend_prompt_rows(params, range(dataset.n_users),
+                              [PromptEnhancedSequence([], [])] * dataset.n_users,
+                              dataset.sequences, K)
 
 
 def regeneration_epochs(total_epochs: int, every: int | None) -> list[int]:

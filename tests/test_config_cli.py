@@ -440,13 +440,12 @@ def test_eval_and_sweep_continue_each_saved_row_once(prompt_run, tmp_path, monke
     _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
     extended = []
 
-    def extend(params, user, pes, new_items, K):
-        if new_items:
-            extended.append(user)
-        return recgpt.training.extend_prompts(params, user, pes, new_items, K)
+    def extend(params, users, rows, new_items, K):
+        extended.extend(u for u, new in zip(users, new_items) if new)
+        return recgpt.training.extend_prompt_rows(params, users, rows, new_items, K)
 
     monkeypatch.setattr(recgpt.evaluation, "generate_prompt_cache", _refuse)
-    monkeypatch.setattr(recgpt.evaluation, "extend_prompts", extend)
+    monkeypatch.setattr(recgpt.evaluation, "extend_prompt_rows", extend)
     assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     assert sorted(extended) == list(range(20))
 
@@ -474,6 +473,20 @@ def test_loaders_refuse_a_manifest_missing_a_meta_key(prompt_run, tmp_path, name
     assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 3
     err = capsys.readouterr().err
     assert name in err and "missing key" in err
+
+
+@pytest.mark.parametrize("name,mutate", [
+    ("dataset.ckpt", _set_meta("max_len", "abc")),
+    ("pretrain.ckpt", _set_meta("n_items", "20")),
+    ("pretrain.ckpt", _set_meta("upstream", [1])),
+], ids=["dataset_max_len_str", "model_n_items_str", "model_upstream_list"])
+def test_loaders_refuse_a_mistyped_meta_value(prompt_run, tmp_path, name, mutate, capsys):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt"))
+    _resave(dest / name, mutate)
+    assert main(["gen-prompts", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "manifest meta key" in err and "must be" in err
 
 
 @pytest.mark.parametrize("mutate", [_del_meta("hyper"),
