@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -80,22 +81,45 @@ def load(path) -> tuple[dict[str, np.ndarray], dict]:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version")
     blob = raw[header_end:]
+    if not _is_count(manifest.get("blob_length")):
+        raise CheckpointError(f"{path}: manifest blob_length must be a non-negative integer")
     if len(blob) != manifest["blob_length"]:
         raise CheckpointError(
             f"{path}: blob length {len(blob)} != manifest {manifest['blob_length']}"
         )
-    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != manifest.get("blob_sha256"):
         raise CheckpointError(f"{path}: blob checksum mismatch (corrupt or tampered)")
+    if not isinstance(manifest.get("tensors"), dict):
+        raise CheckpointError(f"{path}: manifest tensors must be a directory of entries")
     tensors = {}
     for name, entry in manifest["tensors"].items():
-        start, length = entry["offset"], entry["length"]
-        if start + length > len(blob):
-            raise CheckpointError(f"{path}: tensor {name} extends past blob end")
-        arr = np.frombuffer(blob[start:start + length], dtype=entry["dtype"])
+        _check_entry(f"{path}: tensor {name}", entry, len(blob))
+        start = entry["offset"]
+        arr = np.frombuffer(blob[start:start + entry["length"]], dtype=entry["dtype"])
         tensors[name] = arr.reshape(entry["shape"]).copy()
     return tensors, manifest
 
 
-def blob_hash(path) -> str:
-    _, manifest = load(path)
-    return manifest["blob_sha256"]
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_entry(where: str, entry, blob_length: int) -> None:
+    """Refuse a directory entry unless it names a supported dtype, a shape of
+    non-negative ints, and a byte range inside the blob that holds exactly
+    that shape of that dtype."""
+    if not isinstance(entry, dict):
+        raise CheckpointError(f"{where}: directory entry must be a dict")
+    if entry.get("dtype") not in _DTYPES:
+        raise CheckpointError(f"{where}: dtype {entry.get('dtype')!r:.20} not in "
+                              f"{sorted(_DTYPES)}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise CheckpointError(f"{where}: shape must be a list of non-negative integers")
+    start, length = entry.get("offset"), entry.get("length")
+    if not (_is_count(start) and _is_count(length)) or start + length > blob_length:
+        raise CheckpointError(f"{where}: offset and length must lie inside the "
+                              f"{blob_length}-byte blob")
+    if length != math.prod(shape) * np.dtype(entry["dtype"]).itemsize:
+        raise CheckpointError(f"{where}: {length} bytes do not hold shape {shape} "
+                              f"of {entry['dtype']}")

@@ -84,8 +84,6 @@ _META_TYPES = {
     "n_users": _POSITIVE,
     "n_items": _POSITIVE,
     "K": ("a non-negative integer", lambda v: _is_int(v, 0)),
-    "hyper": ("a dict keyed by strings", lambda v: isinstance(v, dict)
-              and all(isinstance(x, str) for x in v)),
     "upstream": ("a dict of strings", lambda v: isinstance(v, dict)
                  and all(isinstance(x, str) for x in (*v, *v.values()))),
 }
@@ -190,15 +188,9 @@ def save_model(path, params: ModelParams, stage: str, cfg: RunConfig,
                     config_hash=cfg.config_hash(), meta=meta)
 
 
-def load_model(path, cfg: RunConfig, stage: str, hyper=None) -> tuple[ModelParams, dict]:
+def load_model(path, cfg: RunConfig, stage: str, hyper: HyperParams) -> tuple[ModelParams, dict]:
     tensors, manifest = _load_checked(path, cfg, stage)
     n_users, n_items = _meta(path, manifest, "n_users", "n_items")
-    if hyper is None:
-        [saved] = _meta(path, manifest, "hyper")
-        try:
-            hyper = HyperParams(**saved)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: manifest meta key 'hyper': {exc}") from exc
     params = ModelParams(n_users, n_items, hyper)
     try:
         params.load_tensors(tensors)
@@ -310,9 +302,13 @@ def _k_value(cfg: RunConfig, args) -> int:
     return cfg.prompt_window if args.k is None else args.k
 
 
-def _load_pretrained(cfg: RunConfig, d: Path) -> tuple[ModelParams, dict]:
-    return load_model(_require(d / "pretrain.ckpt", "pretrain"), cfg, "pretrain",
-                      hyper=cfg.hyper())
+def _load_pretrained(cfg: RunConfig, d: Path, ds_manifest: dict,
+                     stage: str) -> tuple[ModelParams, dict]:
+    """pretrain.ckpt, refused unless it was trained on the run's dataset."""
+    path = _require(d / "pretrain.ckpt", "pretrain")
+    params, manifest = load_model(path, cfg, "pretrain", hyper=cfg.hyper())
+    _verify_upstream_hash(path, manifest, "preprocess", ds_manifest["blob_sha256"], stage)
+    return params, manifest
 
 
 def _load_tuned(cfg: RunConfig, d: Path, K: int, pre_manifest: dict, stage: str) -> ModelParams:
@@ -349,9 +345,7 @@ def cmd_gen_prompts(cfg: RunConfig, args) -> int:
     K = _k_value(cfg, args)
     [path] = _outputs(cfg, args, f"prompts_K{K}.ckpt")
     dataset, ds_manifest = load_dataset(_require(path.parent / "dataset.ckpt", "preprocess"), cfg)
-    params, pre_manifest = _load_pretrained(cfg, path.parent)
-    _verify_upstream_hash(path.parent / "pretrain.ckpt", pre_manifest, "preprocess",
-                          ds_manifest["blob_sha256"], "gen-prompts")
+    params, pre_manifest = _load_pretrained(cfg, path.parent, ds_manifest, "gen-prompts")
     _new_prompts(path, dataset, params, K, cfg, pre_manifest)
     print(f"generated prompts for {dataset.n_users} users at K={K}; wrote {path}")
     return 0
@@ -361,8 +355,8 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     K = _k_value(cfg, args)
     path, report_path = _outputs(cfg, args, f"tuned_K{K}.ckpt", f"tune_K{K}_report.csv")
     d = path.parent
-    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pre, pre_manifest = _load_pretrained(cfg, d)
+    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    pre, pre_manifest = _load_pretrained(cfg, d, ds_manifest, "tune")
     hyper = replace(cfg.hyper(), prompt_window=K)
     prompt_path = d / f"prompts_K{K}.ckpt"
     if prompt_path.exists():
@@ -383,13 +377,13 @@ def _mode_k(cfg: RunConfig, mode: str) -> int:
     return 0 if mode == "FINETUNE" else cfg.prompt_window
 
 
-def _load_for_eval(cfg: RunConfig, d: Path, dataset: SplitDataset,
+def _load_for_eval(cfg: RunConfig, d: Path, dataset: SplitDataset, ds_manifest: dict,
                    modes) -> tuple[ModelParams, dict, dict]:
     """The pretrained model (every mode needs it, for scoring, prompts or the
     upstream check) and, keyed by K, each tuned model a mode reads in MODES
     and, for K > 0, the eval split's prompt-enhanced inputs, continued once
     from the saved prompt cache and shared by every mode."""
-    pretrained, pre_manifest = _load_pretrained(cfg, d)
+    pretrained, pre_manifest = _load_pretrained(cfg, d, ds_manifest, "eval")
     ks = sorted({_mode_k(cfg, mode) for mode in modes if MODES[mode][0] == "tuned"})
     tuned = {K: _load_tuned(cfg, d, K, pre_manifest, "eval") for K in ks}
     prompts = {K: prompt_inputs(dataset, cfg.eval_split, pretrained,
@@ -404,8 +398,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     dumps = [f"recall_{mode}_{split}.csv" for mode in modes] if args.dump else []
     csv_path, *dump_paths = _outputs(cfg, args, f"eval_{split}.csv", *dumps)
     d = csv_path.parent
-    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pretrained, tuned, prompts = _load_for_eval(cfg, d, dataset, modes)
+    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    pretrained, tuned, prompts = _load_for_eval(cfg, d, dataset, ds_manifest, modes)
     rows = ["mode,metric,k,value,n_users"]
     for i, mode in enumerate(modes):
         K = _mode_k(cfg, mode)
@@ -427,8 +421,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     [path] = _outputs(cfg, args, f"sweep_{cfg.sweep_axis}.csv")
     d = path.parent
-    dataset, _ = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pretrained, pre_manifest = _load_pretrained(cfg, d)
+    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
+    pretrained, pre_manifest = _load_pretrained(cfg, d, ds_manifest, "sweep")
     ks = cfg.ks()
     if cfg.sweep_axis == "m_n":
         K = cfg.prompt_window

@@ -46,12 +46,6 @@ class Parameter:
 # forward / backward op pairs
 # ---------------------------------------------------------------------------
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise NumericsError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def matmul_backward(d_out, a, b):
     """d(a@b) -> (da, db) given upstream d_out."""
     return d_out @ b.T, a.T @ d_out
@@ -89,13 +83,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(d_out, x):
     # subgradient at exactly 0 is taken as 0
     return d_out * (x > 0)
-
-
-def embedding_lookup(table: np.ndarray, ids) -> np.ndarray:
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"embedding id out of range [0, {table.shape[0]})")
-    return table[ids]
 
 
 def embedding_backward(d_out, ids, grad_table) -> None:

@@ -71,23 +71,22 @@ def greedy_steps(params: ModelParams, users, rows, scorer: str) -> tuple[np.ndar
     return hidden, [int(np.argmax(score_items(params, h, scorer))) for h in hidden]
 
 
-def greedy_step(params: ModelParams, user: int, items, segments, scorer: str
-                ) -> tuple[np.ndarray, int]:
-    """greedy_steps for one row."""
-    hidden, [item] = greedy_steps(params, [user], [(items, segments)], scorer)
-    return hidden[0], item
-
-
-def _first_step(params: ModelParams, users, rows, k: int, scorer: str,
-                filter_history: bool) -> list[RecallResult]:
-    """Top-k by logit from each row's final hidden state."""
+def _step(params: ModelParams, users, rows, chosen: list[RecallResult], k: int, scorer: str,
+          filter_history: bool, tag: str) -> list[RecallResult]:
+    """One recall step: chosen[b], row b's result so far (empty at step 1),
+    grown by the top-k by logit from the row's final hidden state, skipping
+    the items it holds and, with filter_history, the row's real items."""
     out = []
-    for user, (seq, segments), h in zip(users, rows, final_hidden(params, users, rows)):
+    for (seq, segments), res, h in zip(rows, chosen, final_hidden(params, users, rows)):
         logits = score_items(params, h, scorer)
+        exclude = {int(i) for i in res.items}
         # history filtering excludes real interactions only, never prompt items
-        exclude = _real_items(seq, segments) if filter_history else None
+        if filter_history:
+            exclude |= _real_items(seq, segments)
         top = rank_items(logits, k, exclude=exclude)
-        out.append(RecallResult(user, top, logits[top], [STEP1] * len(top)))
+        out.append(RecallResult(res.user, np.concatenate([res.items, top]),
+                                np.concatenate([res.scores, logits[top]]),
+                                res.provenance + [tag] * len(top)))
     return out
 
 
@@ -97,17 +96,7 @@ def _second_step(params: ModelParams, users, rows, step1: list[RecallResult], n:
     slots from the second ranking, skipping items already selected."""
     grown = [(seq + [int(res.items[0])], segments + [PROMPT])
              for (seq, segments), res in zip(rows, step1)]
-    out = []
-    for (seq, segments), res, h in zip(rows, step1, final_hidden(params, users, grown)):
-        logits = score_items(params, h, scorer)
-        exclude = {int(i) for i in res.items}
-        if filter_history:
-            exclude |= _real_items(seq, segments)
-        fill = rank_items(logits, n, exclude=exclude)
-        out.append(RecallResult(res.user, np.concatenate([res.items, fill]),
-                                np.concatenate([res.scores, logits[fill]]),
-                                res.provenance + [STEP2] * len(fill)))
-    return out
+    return _step(params, users, grown, step1, n, scorer, filter_history, STEP2)
 
 
 def recall_rows(params: ModelParams, users, rows, m: int, n: int, scorer: str,
@@ -119,7 +108,8 @@ def recall_rows(params: ModelParams, users, rows, m: int, n: int, scorer: str,
         raise ValueError("recall requires m >= 1 and n >= 0")
     if not all(seq for seq, _ in rows):
         raise ValueError("recall requires a non-empty sequence")
-    step1 = _first_step(params, users, rows, m, scorer, filter_history)
+    empty = [RecallResult(u, np.zeros(0, np.intp), np.zeros(0, params.dtype), []) for u in users]
+    step1 = _step(params, users, rows, empty, m, scorer, filter_history, STEP1)
     return step1 if n == 0 else _second_step(params, users, rows, step1, n, scorer,
                                              filter_history)
 
@@ -145,27 +135,6 @@ def recall_two_step(params: ModelParams, user: int, seq, m: int, n: int, scorer:
         return step1
     return _second_step(params, [user], [_tagged(seq, segments)], [step1], n, scorer,
                         filter_history)[0]
-
-
-def interest_vectors(params: ModelParams, user: int, seq, steps: int, scorer: str,
-                     segments=None) -> list[np.ndarray]:
-    """Unroll greedy decoding, emitting the final hidden state at each step.
-
-    With filter_history off, steps=2 yields exactly the (h*_1, h*_2) pair used
-    by recall_two_step. With it on, recall_two_step appends the top item
-    outside the user's history, which can differ from the unfiltered argmax
-    appended here. Deeper unrolling is exposed for analysis only.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    items, segments = _tagged(seq, segments)
-    out = []
-    for _ in range(steps):
-        h, nxt = greedy_step(params, user, items, segments, scorer)
-        out.append(h)
-        items.append(nxt)
-        segments.append(PROMPT)
-    return out
 
 
 def dump_recall_csv(path, results: list[RecallResult], catalog=None) -> None:

@@ -17,11 +17,9 @@ from .model import (
     ModelParams,
     backward,
     forward,
-    rank_items,
-    score_items,
 )
 from .numerics import AdamState, adam_step, bce_pair_loss, cross_entropy
-from .recall import final_hidden, greedy_steps
+from .recall import greedy_steps, recall_rows
 
 
 class TrainingError(RuntimeError):
@@ -72,9 +70,8 @@ def _valid_hr_at_10(dataset: SplitDataset, params: ModelParams, scorer: str,
     (items, segments) input, used for early stopping; an empty input is a
     miss."""
     users = [u for u, (items, _) in enumerate(inputs) if items]
-    hidden = final_hidden(params, users, [inputs[u] for u in users])
-    hits = sum(int(dataset.valid_target[u]) in rank_items(score_items(params, h, scorer), 10)
-               for u, h in zip(users, hidden))
+    results = recall_rows(params, users, [inputs[u] for u in users], 10, 0, scorer)
+    hits = sum(int(dataset.valid_target[res.user]) in res.items for res in results)
     return hits / max(1, dataset.n_users)
 
 
@@ -233,12 +230,6 @@ def extend_prompt_rows(params: ModelParams, users, rows: list[PromptEnhancedSequ
     return [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)]
 
 
-def extend_prompts(params: ModelParams, user: int, pes: PromptEnhancedSequence, new_items,
-                   K: int) -> PromptEnhancedSequence:
-    """extend_prompt_rows for one row."""
-    return extend_prompt_rows(params, [user], [pes], [new_items], K)[0]
-
-
 def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhancedSequence:
     """Greedy left-to-right prompt generation from a (frozen) model.
 
@@ -249,7 +240,7 @@ def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhan
     exactly K PROMPT items precede each later REAL item. K=0 returns the
     original sequence unchanged.
     """
-    return extend_prompts(params, user, PromptEnhancedSequence([], []), seq, K)
+    return extend_prompt_rows(params, [user], [PromptEnhancedSequence([], [])], [seq], K)[0]
 
 
 def generate_prompt_cache(dataset: SplitDataset, params: ModelParams, K: int) -> list[PromptEnhancedSequence]:

@@ -1,4 +1,5 @@
 """Shared synthetic dataset builders and tiny-model helpers."""
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from recgpt.checkpoint import MAGIC
 from recgpt.data import Catalog, SplitDataset
 from recgpt.model import HyperParams, ModelParams
 
@@ -17,6 +19,17 @@ settings.register_profile("recgpt", derandomize=True, database=None, max_example
                           deadline=None)
 settings.load_profile("recgpt")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "recgpt-hypothesis")
+
+
+def rewrite_manifest(path, edit):
+    """Apply edit to the manifest of a checkpoint, keeping its blob (and so
+    its checksum) as it is."""
+    raw = path.read_bytes()
+    end = 12 + int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    manifest = json.loads(raw[12:end])
+    edit(manifest)
+    payload = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + np.array(len(payload), dtype="<u4").tobytes() + payload + raw[end:])
 
 
 def make_dataset(sequences, valid, test, n_items, max_len=50):

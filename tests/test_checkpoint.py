@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from recgpt.checkpoint import MAGIC, CheckpointError, blob_hash, load, save
+from recgpt.checkpoint import MAGIC, CheckpointError, load, save
+
+from conftest import rewrite_manifest
 
 
 def sample_tensors(rng):
@@ -65,9 +67,41 @@ def test_unsupported_dtype_rejected(tmp_path):
              stage="s", config_hash="h")
 
 
-def test_blob_hash_stable(tmp_path, rng):
+def test_blob_sha256_stable(tmp_path, rng):
     tensors = sample_tensors(rng)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save(p1, tensors, stage="s", config_hash="h1")
     save(p2, tensors, stage="s", config_hash="h2")
-    assert blob_hash(p1) == blob_hash(p2)   # hash covers tensors, not metadata
+    # the hash covers tensors, not metadata
+    assert load(p1)[1]["blob_sha256"] == load(p2)[1]["blob_sha256"]
+
+
+def _entry(key, value):
+    def edit(manifest):
+        manifest["tensors"]["a"][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda m: m.pop("blob_length"), "blob_length"),
+    (lambda m: m.update(blob_length="156"), "blob_length"),
+    (lambda m: m.update(tensors=[]), "tensors"),
+    (lambda m: m["tensors"].update(a=[0, 48]), "tensor a: directory entry"),
+    (_entry("dtype", "|O"), "tensor a: dtype"),
+    (_entry("shape", [3, 3]), "tensor a: 48 bytes do not hold shape"),
+    (_entry("shape", [-3, -4]), "tensor a: shape"),
+    (_entry("shape", "3x4"), "tensor a: shape"),
+    (_entry("offset", -8), "tensor a: offset and length"),
+    (_entry("offset", 1.5), "tensor a: offset and length"),
+    (_entry("length", 10**6), "tensor a: offset and length"),
+    (_entry("length", 40), "tensor a: 40 bytes"),
+], ids=["blob_length_missing", "blob_length_str", "tensors_not_a_dict", "entry_not_a_dict",
+        "object_dtype", "shape_too_big", "negative_shape", "shape_not_a_list",
+        "negative_offset", "float_offset", "length_past_blob", "length_short_of_shape"])
+def test_directory_that_does_not_fit_the_blob_rejected(tmp_path, rng, edit, match):
+    path = tmp_path / "model.ckpt"
+    save(path, sample_tensors(rng), stage="pretrain", config_hash="abc")
+    rewrite_manifest(path, edit)
+    with pytest.raises(CheckpointError, match=match) as info:
+        load(path)
+    assert str(path) in str(info.value)

@@ -5,6 +5,8 @@ from recgpt.checkpoint import load
 from recgpt.cli import main
 from recgpt.config import ConfigError, RunConfig, parse_config
 
+from conftest import rewrite_manifest
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -489,15 +491,23 @@ def test_loaders_refuse_a_mistyped_meta_value(prompt_run, tmp_path, name, mutate
     assert name in err and "manifest meta key" in err and "must be" in err
 
 
-@pytest.mark.parametrize("mutate", [_del_meta("hyper"),
-                                    _set_meta("hyper", {"d": 8, "not_a_field": 1})],
-                         ids=["missing_hyper", "unknown_hyper_field"])
-def test_load_model_refuses_saved_hyper_it_cannot_build(prompt_run, tmp_path, mutate):
-    from recgpt.checkpoint import CheckpointError
-    from recgpt.cli import load_model
+@pytest.mark.parametrize("stage", ["gen-prompts", "tune", "eval", "sweep"])
+def test_stages_refuse_a_pretrained_model_of_another_dataset(prompt_run, tmp_path, stage,
+                                                              capsys):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    _resave(dest / "pretrain.ckpt", _set_meta("upstream", {"preprocess": "0" * 64}))
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 2
+    assert "upstream preprocess hash mismatch" in capsys.readouterr().err
+
+
+def test_stage_refuses_a_tensor_directory_that_does_not_fit_the_blob(prompt_run, tmp_path,
+                                                                     capsys):
+    def negative_offset(manifest):
+        manifest["tensors"]["W_e"]["offset"] = -8
 
     cfg_path, run = prompt_run
-    dest = _copy_run(run, tmp_path, cfg_path, ("pretrain.ckpt",))
-    _resave(dest / "pretrain.ckpt", mutate)
-    with pytest.raises(CheckpointError, match="pretrain.ckpt.*'hyper'"):
-        load_model(dest / "pretrain.ckpt", parse_config(cfg_path), "pretrain")
+    dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt"))
+    rewrite_manifest(dest / "pretrain.ckpt", negative_offset)
+    assert main(["gen-prompts", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert "pretrain.ckpt: tensor W_e: offset" in capsys.readouterr().err

@@ -16,8 +16,7 @@ from recgpt.recall import (
     STEP1,
     STEP2,
     dump_recall_csv,
-    greedy_step,
-    interest_vectors,
+    greedy_steps,
     recall_one_step,
     recall_two_step,
 )
@@ -119,43 +118,11 @@ def test_greedy_step_picks_rank_items_top_on_tie_heavy_logits(rng):
         seq = rng.integers(0, n_items, size=int(rng.integers(1, 16))).tolist()
         segs = rng.integers(0, 2, size=len(seq)).tolist()
         scorer = SCORER_TIED_EMB if trial % 2 else SCORER_OUTPUT_LAYER
-        h, item = greedy_step(params, 1, seq, segs, scorer)
+        [h], [item] = greedy_steps(params, [1], [(seq, segs)], scorer)
         items, segments = truncate_last(seq, segs, params.hyper.max_len)
         expected_h, _ = forward(params, 1, items, segments)
         assert np.array_equal(h, expected_h[-1])
         assert item == int(rank_items(score_items(params, h, scorer), 1)[0])
-
-
-def test_interest_vectors_unroll():
-    params = tiny_params(seed=7, n_items=9)
-    seq = [2, 5, 1]
-    vecs = interest_vectors(params, 0, seq, 3, SCORER_TIED_EMB)
-    assert len(vecs) == 3
-    h, _ = forward(params, 0, seq, [REAL] * 3)
-    assert np.array_equal(vecs[0], h[-1])
-    # manual three-pass oracle
-    items, segs = list(seq), [REAL] * 3
-    for step in range(3):
-        hh, _ = forward(params, 0, items, segs)
-        assert np.array_equal(vecs[step], hh[-1])
-        logits = score_items(params, hh[-1], SCORER_TIED_EMB)
-        items.append(int(rank_items(logits, 1)[0]))
-        segs.append(PROMPT)
-    with pytest.raises(ValueError):
-        interest_vectors(params, 0, seq, 0, SCORER_TIED_EMB)
-
-
-def test_interest_vectors_first_matches_two_step_hidden_state():
-    params = tiny_params(seed=8, n_items=9)
-    seq = [3, 0, 4]
-    vecs = interest_vectors(params, 0, seq, 2, SCORER_TIED_EMB)
-    logits1 = score_items(params, vecs[0], SCORER_TIED_EMB)
-    step1 = recall_one_step(params, 0, seq, 4, SCORER_TIED_EMB)
-    assert np.array_equal(rank_items(logits1, 4), step1.items)
-    logits2 = score_items(params, vecs[1], SCORER_TIED_EMB)
-    res = recall_two_step(params, 0, seq, 4, 2, SCORER_TIED_EMB)
-    fill = rank_items(logits2, 2, exclude=set(step1.items.tolist()))
-    assert np.array_equal(res.items[4:], fill)
 
 
 def test_dump_recall_csv(tmp_path, rng):

@@ -18,11 +18,11 @@ from recgpt.model import (
     score_items,
 )
 from recgpt.numerics import bce_pair_loss, cross_entropy
-from recgpt.recall import greedy_step, recall_one_step
+from recgpt.recall import greedy_steps, recall_one_step
 from recgpt.training import (
     PromptEnhancedSequence,
     TrainingError,
-    extend_prompts,
+    extend_prompt_rows,
     generate_prompt_cache,
     generate_prompts,
     pretrain,
@@ -187,11 +187,12 @@ def test_generate_prompt_cache_deterministic():
 
 def regenerate_prompts(params, user, seq, K):
     """Prompt generation over the whole sequence at once, one greedy step per
-    prompt: the path that extend_prompts continues from a saved row."""
+    prompt: the path that extend_prompt_rows continues from a saved row."""
     items, segments = [int(v) for v in seq[:1]], [REAL] * len(seq[:1])
     for v in seq[1:]:
         for _ in range(K):
-            items.append(greedy_step(params, user, items, segments, SCORER_OUTPUT_LAYER)[1])
+            items.append(greedy_steps(params, [user], [(items, segments)],
+                                      SCORER_OUTPUT_LAYER)[1][0])
             segments.append(PROMPT)
         items.append(int(v))
         segments.append(REAL)
@@ -214,7 +215,7 @@ def test_extending_a_cached_row_equals_regenerating(prefix, new_items, K, max_le
         w_l = params["W_l"].value
         w_l[1::2] = w_l[0::2]
     cached = generate_prompts(params, user, prefix, K)
-    extended = extend_prompts(params, user, cached, new_items, K)
+    [extended] = extend_prompt_rows(params, [user], [cached], [new_items], K)
     whole = generate_prompts(params, user, prefix + new_items, K)
     assert (extended.items, extended.segments) == (whole.items, whole.segments)
     assert (whole.items, whole.segments) == regenerate_prompts(params, user,
