@@ -196,6 +196,9 @@ def load_model(path, cfg: RunConfig, stage: str, hyper: HyperParams) -> tuple[Mo
         params.load_tensors(tensors)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc.args[0]}") from exc
+    for p in params.parameters():
+        if not np.all(np.isfinite(p.value)):
+            raise CheckpointError(f"{path}: tensor {p.name} holds non-finite values")
     return params, manifest
 
 

@@ -155,8 +155,9 @@ def build_splits(
 
 
 def sample_negatives(seq_items, vocab_size: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws over items absent from the user's full sequence."""
-    excluded = set(int(i) for i in seq_items)
+    """Uniform draws over items absent from the user's full sequence; ids
+    outside [0, vocab_size) are never drawn, so they exclude nothing."""
+    excluded = {i for i in map(int, seq_items) if 0 <= i < vocab_size}
     if vocab_size <= len(excluded):
         raise DataError("negative sampling: vocabulary exhausted by the user's sequence")
     out = np.empty(count, dtype=np.int64)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import REAL, SCORER_OUTPUT_LAYER, SCORER_TIED_EMB, ModelParams
-from .recall import RecallResult, dump_recall_csv, recall_rows
+from .recall import RecallResult, dump_recall_csv, recall_grid, recall_rows
 from .training import PromptEnhancedSequence, extend_prompt_rows, generate_prompt_cache, prompt_tune
 
 # mode -> (which params, two_step?, scorer)
@@ -117,6 +117,44 @@ def prompt_inputs(dataset: SplitDataset, split: str, pretrained: ModelParams, pr
     return extend_prompt_rows(pretrained, range(dataset.n_users), prompts, new_items, K)
 
 
+def _recall_split(m, n, k_max: int) -> None:
+    if m is None or n is None or m < 1 or n < 0 or m + n != k_max:
+        raise EvalError(f"recall split (m, n) = ({m}, {n}) needs m >= 1, n >= 0 and "
+                        f"m+n = k = {k_max}")
+
+
+def _inputs(dataset: SplitDataset, split: str, which: str, pretrained: ModelParams | None,
+            prompts, prompt_k: int) -> tuple[list[int], list]:
+    """The users with a non-empty split input and their (items, segments)
+    rows: prompt-enhanced for a tuned model at prompt_k > 0, else real."""
+    if which == "tuned" and prompt_k > 0:
+        inputs = [(p.items, p.segments)
+                  for p in prompt_inputs(dataset, split, pretrained, prompts, prompt_k)]
+    else:
+        inputs = [(seq, [REAL] * len(seq))
+                  for seq in (eval_input(dataset, u, split) for u in range(dataset.n_users))]
+    users = [u for u, (seq, _) in enumerate(inputs) if seq]
+    return users, [inputs[u] for u in users]
+
+
+def _report(dataset: SplitDataset, split: str, mode: str, ks, users,
+            results: list[RecallResult]) -> MetricsReport:
+    """HR@k / NDCG@k averaged over the ranked users; the rest are excluded."""
+    hits = {(metric, k): 0.0 for k in ks for metric in ("HR", "NDCG")}
+    for u, res in zip(users, results):
+        target = int(dataset.test_target[u] if split == "test" else dataset.valid_target[u])
+        for k in ks:
+            hits[("HR", k)] += hr_at_k(res, target, k)
+            hits[("NDCG", k)] += ndcg_at_k(res, target, k)
+
+    n_users = len(results)
+    report = MetricsReport(mode=mode, split=split, n_users=n_users,
+                           n_excluded=dataset.n_users - n_users)
+    for key, total in hits.items():
+        report.metrics[key] = float(total / n_users) if n_users else 0.0
+    return report
+
+
 def evaluate(
     dataset: SplitDataset,
     split: str,
@@ -150,39 +188,15 @@ def evaluate(
     if which == "tuned" and prompt_k > 0 and pretrained is None:
         raise EvalError(f"mode {mode} with prompt_k={prompt_k} needs the pretrained "
                         "checkpoint for prompt generation")
-    k_max = max(ks)
     if not two_step:
-        m, n = k_max, 0     # two-step recall with n = 0 is one-step recall
-    if m is None or n is None:
-        raise EvalError(f"mode {mode} needs recall split (m, n)")
-    if m + n != k_max:
-        raise EvalError(f"m+n={m + n} must equal k={k_max}")
+        m, n = max(ks), 0   # two-step recall with n = 0 is one-step recall
+    _recall_split(m, n, max(ks))
 
-    if which == "tuned" and prompt_k > 0:
-        inputs = [(p.items, p.segments)
-                  for p in prompt_inputs(dataset, split, pretrained, prompts, prompt_k)]
-    else:
-        inputs = [(seq, [REAL] * len(seq))
-                  for seq in (eval_input(dataset, u, split) for u in range(dataset.n_users))]
-
-    users = [u for u, (seq, _) in enumerate(inputs) if seq]
-    results = recall_rows(params, users, [inputs[u] for u in users], m, n, scorer,
-                          filter_history=filter_history)
-    hits = {(metric, k): 0.0 for k in ks for metric in ("HR", "NDCG")}
-    for u, res in zip(users, results):
-        target = int(dataset.test_target[u] if split == "test" else dataset.valid_target[u])
-        for k in ks:
-            hits[("HR", k)] += hr_at_k(res, target, k)
-            hits[("NDCG", k)] += ndcg_at_k(res, target, k)
-
-    n_users = len(results)
-    report = MetricsReport(mode=mode, split=split, n_users=n_users,
-                           n_excluded=dataset.n_users - n_users)
-    for key, total in hits.items():
-        report.metrics[key] = float(total / n_users) if n_users else 0.0
+    users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k)
+    results = recall_rows(params, users, rows, m, n, scorer, filter_history=filter_history)
     if dump_path is not None:
         dump_recall_csv(dump_path, results, catalog=dataset.catalog)
-    return report
+    return _report(dataset, split, mode, ks, users, results)
 
 
 def mn_grid(k: int = 10, min_m: int | None = None) -> list[tuple[int, int]]:
@@ -210,17 +224,19 @@ def sweep_mn(
 ) -> SweepTable:
     """Vary only the two-step recall split over one tuned checkpoint; the
     (k, 0) point is one-step recall, since two-step with n = 0 returns it.
-    The prompt-enhanced inputs are built from `prompts` (as in evaluate) once
-    and shared by every point."""
+
+    One pass: the inputs are built once (prompt-enhanced from `prompts`, as
+    in evaluate) and recall_grid ranks each step once per user, so each
+    point's table row equals evaluate(..., "RECGPT", m=m, n=n)'s metrics."""
     if grid is None:
         grid = mn_grid(max(ks))
-    if prompt_k > 0:
-        prompts = prompt_inputs(dataset, split, pretrained, prompts, prompt_k)
-    table = SweepTable(axis="m_n", points=list(grid))
     for m, n in grid:
-        _collect(table, evaluate(dataset, split, "RECGPT", pretrained=pretrained,
-                                 tuned=tuned, ks=ks, m=m, n=n, prompt_k=prompt_k,
-                                 filter_history=filter_history, prompts=prompts))
+        _recall_split(m, n, max(ks))
+    which, _, scorer = MODES["RECGPT"]
+    users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k)
+    table = SweepTable(axis="m_n", points=list(grid))
+    for results in recall_grid(tuned, users, rows, table.points, scorer, filter_history):
+        _collect(table, _report(dataset, split, "RECGPT", ks, users, results))
     return table
 
 

@@ -350,8 +350,25 @@ def score_items(params: ModelParams, h: np.ndarray, scorer: str) -> np.ndarray:
 
 
 def rank_items(logits: np.ndarray, k: int, exclude=None) -> np.ndarray:
-    """Top-k item indices by descending logit; ties broken by ascending index."""
-    order = np.argsort(-logits, kind="stable")
+    """Top-k item indices by descending logit; ties broken by ascending index.
+
+    Ids in exclude are masked out (those outside the catalog exclude
+    nothing). np.partition of the eligible logits finds the k-th largest, and
+    every eligible item at or above it stays a candidate, so the whole tie
+    block at the boundary survives; the candidates come in ascending index
+    order, so a stable sort of them ranks ties by index. A NaN logit raises
+    NumericsError: it has no place in a descending order, and np.argmax
+    would pick it first.
+    """
+    if np.isnan(logits).any():
+        raise NumericsError("NaN logit in rank_items")
+    neg = -logits
+    eligible = np.ones(neg.shape[0], dtype=bool)
     if exclude:
-        order = order[~np.isin(order, list(exclude))]
-    return order[:k]
+        ex = np.fromiter(exclude, dtype=np.intp)
+        eligible[ex[(ex >= 0) & (ex < neg.shape[0])]] = False
+    values = neg[eligible]
+    if 0 < k < values.shape[0]:
+        eligible &= neg <= np.partition(values, k - 1)[k - 1]
+    ids = np.flatnonzero(eligible)
+    return ids[np.argsort(neg[ids], kind="stable")[:k]]

@@ -90,13 +90,17 @@ def _step(params: ModelParams, users, rows, chosen: list[RecallResult], k: int, 
     return out
 
 
+def _grown(rows, step1: list[RecallResult]) -> list[tuple[list, list]]:
+    """Each row with its step-1 argmax appended as a PROMPT."""
+    return [(seq + [int(res.items[0])], segments + [PROMPT])
+            for (seq, segments), res in zip(rows, step1)]
+
+
 def _second_step(params: ModelParams, users, rows, step1: list[RecallResult], n: int,
                  scorer: str, filter_history: bool) -> list[RecallResult]:
     """Append each row's step-1 argmax as a PROMPT, re-run, and fill n more
     slots from the second ranking, skipping items already selected."""
-    grown = [(seq + [int(res.items[0])], segments + [PROMPT])
-             for (seq, segments), res in zip(rows, step1)]
-    return _step(params, users, grown, step1, n, scorer, filter_history, STEP2)
+    return _step(params, users, _grown(rows, step1), step1, n, scorer, filter_history, STEP2)
 
 
 def recall_rows(params: ModelParams, users, rows, m: int, n: int, scorer: str,
@@ -112,6 +116,40 @@ def recall_rows(params: ModelParams, users, rows, m: int, n: int, scorer: str,
     step1 = _step(params, users, rows, empty, m, scorer, filter_history, STEP1)
     return step1 if n == 0 else _second_step(params, users, rows, step1, n, scorer,
                                              filter_history)
+
+
+def _merged(step1: RecallResult, step2: RecallResult, m: int, n: int) -> RecallResult:
+    """step1's first m items, then the first n of step2's not among them."""
+    head = set(step1.items[:m].tolist())
+    fill = [i for i, item in enumerate(step2.items.tolist()) if item not in head][:n]
+    return RecallResult(step1.user, np.concatenate([step1.items[:m], step2.items[fill]]),
+                        np.concatenate([step1.scores[:m], step2.scores[fill]]),
+                        step1.provenance[:m] + [STEP2] * len(fill))
+
+
+def recall_grid(params: ModelParams, users, rows, grid, scorer: str,
+                filter_history: bool = False) -> list[list[RecallResult]]:
+    """recall_rows(params, users, rows, m, n, ...) for every (m, n) of a grid
+    whose points all have m + n = k, from two rankings per row.
+
+    Step 1 ranks the top k once; its first m items are point (m, n)'s step 1.
+    Every point with n > 0 appends the same step-1 argmax, so step 2 runs
+    once, excluding only the real items under filter_history, and ranks its
+    top k: point (m, n) fills its n slots with the first of them not among
+    its m step-1 items. At most m of step 2's top k are, so k is enough."""
+    if not grid:
+        return []
+    k = sum(grid[0])
+    if any(m < 1 or n < 0 or m + n != k for m, n in grid):
+        raise ValueError(f"recall grid points need m >= 1, n >= 0 and m + n = {k}")
+    rows = [_tagged(seq, segments) for seq, segments in rows]
+    step1 = recall_rows(params, users, rows, k, 0, scorer, filter_history)
+    step2 = step1
+    if any(n for _, n in grid):
+        # the PROMPT appended is no real item, so filter_history excludes the
+        # row's real items only; _merged tags the fill STEP2
+        step2 = recall_rows(params, users, _grown(rows, step1), k, 0, scorer, filter_history)
+    return [[_merged(a, b, m, n) for a, b in zip(step1, step2)] for m, n in grid]
 
 
 def recall_one_step(params: ModelParams, user: int, seq, k: int, scorer: str,

@@ -511,3 +511,14 @@ def test_stage_refuses_a_tensor_directory_that_does_not_fit_the_blob(prompt_run,
     rewrite_manifest(dest / "pretrain.ckpt", negative_offset)
     assert main(["gen-prompts", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
     assert "pretrain.ckpt: tensor W_e: offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage,name", [("gen-prompts", "pretrain.ckpt"),
+                                        ("eval", "tuned_K1.ckpt")])
+def test_stages_refuse_a_model_with_non_finite_weights(prompt_run, tmp_path, stage, name,
+                                                       capsys):
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    _resave(dest / name, _set("W_l", 3, float("nan")))
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 3
+    assert f"{name}: tensor W_l holds non-finite values" in capsys.readouterr().err

@@ -3,6 +3,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recgpt.data import (
     DataError,
@@ -232,6 +234,47 @@ def test_sample_negatives_uniform_chi_square():
 def test_sample_negatives_vocab_exhausted(rng):
     with pytest.raises(DataError):
         sample_negatives([0, 1], 2, 1, rng)
+
+
+def rejection_loop(seq_items, vocab_size, count, rng):
+    """sample_negatives' draws for in-range ids, written out: redraw until
+    the candidate is outside the sequence."""
+    excluded = set(int(i) for i in seq_items)
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        while True:
+            cand = int(rng.integers(0, vocab_size))
+            if cand not in excluded:
+                out[i] = cand
+                break
+    return out
+
+
+@st.composite
+def _nearly_full_history(draw):
+    vocab = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(vocab)))
+    j = draw(st.integers(1, vocab))
+    held = order[j:]
+    history = draw(st.lists(st.sampled_from(held), max_size=2 * len(held))) if held else []
+    return vocab, set(order[:j]), draw(st.permutations(held + history))
+
+
+@given(case=_nearly_full_history(), count=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       outside=st.lists(st.sampled_from([-3, -1, 12, 40]), max_size=3))
+def test_sample_negatives_draws_only_the_items_left(case, count, seed, outside):
+    vocab, free, history = case
+    out = sample_negatives(history + outside, vocab, count, np.random.default_rng(seed))
+    assert set(out.tolist()) <= free
+    # ids outside the catalog change neither the exhaustion check nor the stream
+    assert out.tolist() == rejection_loop(history, vocab, count,
+                                          np.random.default_rng(seed)).tolist()
+
+
+def test_sample_negatives_ignores_ids_outside_the_catalog(rng):
+    assert sample_negatives([0, 1, 9], 3, 1, rng).tolist() == [2]
+    with pytest.raises(DataError):
+        sample_negatives([0, 1, 2, 9], 3, 1, rng)
 
 
 def test_truncate_last():

@@ -15,9 +15,10 @@ from recgpt.evaluation import (
     prompt_inputs,
     sweep_mn,
 )
+from recgpt.model import rank_items
 from recgpt.training import generate_prompt_cache, generate_prompts, pretrain, prompt_tune
 
-from conftest import tiny_dataset, tiny_hyper, tiny_params
+from conftest import make_dataset, tiny_dataset, tiny_hyper, tiny_params
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +229,70 @@ def test_prompt_inputs_refuse_rows_of_other_histories(prompted):
         prompt_inputs(ds, "test", pre, cache[1:] + cache[:1], 2)
     with pytest.raises(EvalError, match="prompt rows"):
         prompt_inputs(ds, "test", pre, cache[1:], 2)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass m/n sweep against one evaluate per point
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def swept():
+    """Empty, short and past-max_len train prefixes; a tuned model with and
+    without duplicated W_l rows, whose tied step-2 scores overlap step 1."""
+    seqs = [[], [3], [1, 4, 2, 5, 7, 0, 8], [6, 6], [], [2, 9, 3], [5, 5, 1, 0, 4, 6]]
+    ds = make_dataset(seqs, [4, 7, 3, 0, 9, 1, 2], [1, 2, 6, 8, 3, 5, 7], 24, max_len=4)
+    pre = tiny_params(n_users=7, n_items=24, seed=31, max_len=4)
+    tuned = tiny_params(n_users=7, n_items=24, seed=32, max_len=4)
+    for params in (pre, tuned):
+        # segment embeddings start at zero; make PROMPT and REAL differ
+        params["W_s"].value[...] = np.random.default_rng(33).standard_normal((2, 8))
+    tied = tuned.copy()
+    w = tied["W_l"].value
+    w[1::2] = w[0::2]
+    return ds, pre, {False: tuned, True: tied}, generate_prompt_cache(ds, pre, 2)
+
+
+@pytest.mark.parametrize("ks,grid", [((5,), None), ((5, 10), None),
+                                     ((3, 7), [(1, 6), (7, 0), (4, 3), (6, 1)])],
+                         ids=["k5", "k10", "custom"])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("split", ["valid", "test"])
+@pytest.mark.parametrize("filter_history", [False, True])
+@pytest.mark.parametrize("K", [0, 2])
+def test_sweep_mn_equals_one_evaluate_per_point(swept, K, filter_history, split, ties, ks,
+                                                 grid):
+    ds, pre, tuned, cache = swept
+    kwargs = dict(pretrained=pre, tuned=tuned[ties], ks=ks, prompt_k=K,
+                  filter_history=filter_history, prompts=cache if K else None)
+    table = sweep_mn(ds, split, grid=grid, **kwargs)
+    points = mn_grid(max(ks)) if grid is None else grid
+    expected = {}
+    for m, n in points:
+        report = evaluate(ds, split, "RECGPT", m=m, n=n, **kwargs)
+        for key, value in report.metrics.items():
+            expected.setdefault(key, []).append(value)
+    assert table.points == points
+    assert table.values == expected
+
+
+def test_sweep_mn_ranks_each_step_once_per_user(swept, monkeypatch):
+    import recgpt.recall
+
+    ds, pre, tuned, cache = swept
+    calls = []
+
+    def counting(logits, k, exclude=None):
+        calls.append(k)
+        return rank_items(logits, k, exclude=exclude)
+
+    monkeypatch.setattr(recgpt.recall, "rank_items", counting)
+    sweep_mn(ds, "valid", pre, tuned[False], ks=(5, 10), prompt_k=2, prompts=cache)
+    assert calls == [10] * (2 * 5)     # 5 users with a non-empty valid input
+
+
+@pytest.mark.parametrize("grid", [[(0, 5)], [(5, 0), (6, -1)], [(4, 2)], [(5, 0), (2, 2)]],
+                         ids=["m0", "negative_n", "sum_past_k", "sum_short_of_k"])
+def test_sweep_mn_refuses_a_bad_grid_point(swept, grid):
+    ds, pre, tuned, cache = swept
+    with pytest.raises(EvalError, match="recall split"):
+        sweep_mn(ds, "test", pre, tuned[False], grid=grid, ks=(5,))

@@ -1,6 +1,11 @@
 """Decoder forward-pass semantics: embedding sum, causal attention, scoring."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recgpt.model import (
     PROMPT,
@@ -197,3 +202,63 @@ def test_full_catalog_ranking_is_total_order(rng):
     order = rank_items(logits, 15)
     assert sorted(order.tolist()) == list(range(15))
     assert np.all(np.diff(logits[order]) <= 0)
+
+
+# ---------------------------------------------------------------------------
+# partial-selection ranking against the full sort it replaced
+# ---------------------------------------------------------------------------
+
+def _perfbench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle_top = _perfbench_checks().oracle_top
+
+
+def full_sort_rank(logits, k, exclude=None):
+    """rank_items as a stable argsort of the whole catalog and an isin filter."""
+    order = np.argsort(-logits, kind="stable")
+    if exclude:
+        order = order[~np.isin(order, list(exclude))]
+    return order[:k]
+
+
+# few distinct values, so most ranks tie; -0.0 and 0.0 compare equal
+_LOGIT = st.one_of(st.integers(-2, 2).map(float),
+                   st.sampled_from([-np.inf, np.inf, -0.0, 0.0]))
+
+
+@st.composite
+def _ranking_case(draw):
+    n = draw(st.integers(0, 24))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    logits = np.asarray(draw(st.lists(_LOGIT, min_size=n, max_size=n)), dtype=dtype)
+    ids = st.integers(0, n - 1) if n else st.nothing()
+    exclude = draw(st.one_of(st.none(), st.just(set()), st.just(set(range(n))),
+                             st.sets(ids, max_size=n)))
+    return logits, draw(st.integers(0, n + 2)), exclude
+
+
+@given(_ranking_case())
+def test_rank_items_equals_the_full_sort_on_tie_heavy_logits(case):
+    logits, k, exclude = case
+    got = rank_items(logits, k, exclude=exclude)
+    eligible = logits.shape[0] - len(exclude or ())
+    assert got.dtype == np.intp and got.shape == (min(k, eligible),)
+    assert got.tolist() == full_sort_rank(logits, k, exclude).tolist()
+    assert got.tolist() == oracle_top(logits, k, exclude or ())
+
+
+@given(st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(-2, 2).map(float), min_size=n, max_size=n),
+                        st.integers(0, n - 1), st.integers(0, n + 2))))
+def test_rank_items_refuses_a_nan_logit(case):
+    values, at, k = case
+    logits = np.asarray(values, dtype=np.float32)
+    logits[at] = np.nan
+    with pytest.raises(NumericsError):
+        rank_items(logits, k)

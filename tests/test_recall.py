@@ -1,6 +1,8 @@
 """One-step and two-step recall semantics."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recgpt.model import (
     PROMPT,
@@ -12,12 +14,15 @@ from recgpt.model import (
     score_items,
 )
 from recgpt.data import truncate_last
+from recgpt.evaluation import mn_grid
 from recgpt.recall import (
     STEP1,
     STEP2,
     dump_recall_csv,
     greedy_steps,
+    recall_grid,
     recall_one_step,
+    recall_rows,
     recall_two_step,
 )
 
@@ -137,3 +142,37 @@ def test_dump_recall_csv(tmp_path, rng):
     user, rank, item, score, prov = lines[1].split(",")
     assert (user, rank, prov) == ("0", "1", "STEP1")
     assert float(score) == float(results[0].scores[0])
+
+
+# rows of items and segments on a 10-item catalog: with filter_history a row
+# can leave fewer eligible items than k, so some results come back short
+_ROWS = st.lists(st.integers(1, 7).flatmap(lambda L: st.tuples(
+    st.lists(st.integers(0, 9), min_size=L, max_size=L),
+    st.lists(st.sampled_from([REAL, PROMPT]), min_size=L, max_size=L))), min_size=1, max_size=6)
+
+
+@given(rows=_ROWS, k=st.integers(1, 9), ties=st.booleans(), filter_history=st.booleans(),
+       scorer=st.sampled_from([SCORER_TIED_EMB, SCORER_OUTPUT_LAYER]))
+def test_recall_grid_equals_recall_rows_at_every_point(rows, k, ties, filter_history, scorer):
+    params = tiny_params(n_users=6, n_items=10, seed=4, max_len=5)
+    params["W_s"].value[...] = np.random.default_rng(5).standard_normal((2, 8))
+    if ties:
+        # duplicated item rows: step 2's ties straddle the items step 1 chose
+        for name in ("W_e", "W_l"):
+            w = params[name].value
+            w[1::2] = w[0::2]
+    users = list(range(len(rows)))
+    grid = mn_grid(k, min_m=1)
+    for (m, n), got in zip(grid, recall_grid(params, users, rows, grid, scorer,
+                                             filter_history)):
+        want = recall_rows(params, users, rows, m, n, scorer, filter_history)
+        for a, b in zip(got, want):
+            assert a.user == b.user and a.provenance == b.provenance
+            assert a.items.dtype == b.items.dtype and a.items.tolist() == b.items.tolist()
+            assert a.scores.dtype == b.scores.dtype
+            assert a.scores.tobytes() == b.scores.tobytes()
+
+
+def test_recall_grid_refuses_points_of_different_k():
+    with pytest.raises(ValueError, match="m \\+ n = 5"):
+        recall_grid(tiny_params(), [0], [([1, 2], None)], [(5, 0), (3, 1)], SCORER_TIED_EMB)
