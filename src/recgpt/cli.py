@@ -80,7 +80,6 @@ _POSITIVE = ("a positive integer", lambda v: _is_int(v, 1))
 _META_TYPES = {
     "users": _STRINGS,
     "items": _STRINGS,
-    "max_len": _POSITIVE,
     "n_users": _POSITIVE,
     "n_items": _POSITIVE,
     "K": ("a non-negative integer", lambda v: _is_int(v, 0)),
@@ -144,27 +143,22 @@ def save_dataset(path, dataset: SplitDataset, cfg: RunConfig) -> None:
         },
         stage="preprocess",
         config_hash=cfg.config_hash(),
-        meta={
-            "users": dataset.catalog.users,
-            "items": dataset.catalog.items,
-            "max_len": dataset.max_len,
-        },
+        meta={"users": dataset.catalog.users, "items": dataset.catalog.items},
     )
 
 
 def load_dataset(path, cfg: RunConfig) -> tuple[SplitDataset, dict]:
     tensors, manifest = _load_checked(path, cfg, "preprocess", "seq_flat", "seq_offsets",
                                       "valid_target", "test_target")
-    users, items, max_len = _meta(path, manifest, "users", "items", "max_len")
+    users, items = _meta(path, manifest, "users", "items")
     catalog = Catalog(users=list(users), items=list(items))
     sequences = _unpack(path, tensors["seq_flat"], tensors["seq_offsets"],
                         catalog.n_users, catalog.n_items, "item id")
     for name in ("valid_target", "test_target"):
         _unpack(path, tensors[name], np.asarray([0, catalog.n_users]), 1,
                 catalog.n_items, name)
-    dataset = SplitDataset(sequences, tensors["valid_target"], tensors["test_target"],
-                           catalog, max_len=max_len)
-    return dataset, manifest
+    return SplitDataset(sequences, tensors["valid_target"], tensors["test_target"],
+                        catalog), manifest
 
 
 def save_model(path, params: ModelParams, stage: str, cfg: RunConfig,
@@ -270,7 +264,7 @@ def cmd_preprocess(cfg: RunConfig, args) -> int:
     records = kcore_filter(records, k=cfg.kcore_k)
     if not records:
         raise DataError("no interactions left after filtering")
-    dataset = build_splits(records, max_len=cfg.max_len)
+    dataset = build_splits(records)
     if dataset.n_users == 0:
         raise DataError("no users left after split construction")
     path.parent.mkdir(parents=True, exist_ok=True)

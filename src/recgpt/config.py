@@ -5,6 +5,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .model import HyperParams
+from .training import LOSS_POSITIONS, TRAINABLE
 
 
 class ConfigError(RuntimeError):
@@ -12,27 +13,17 @@ class ConfigError(RuntimeError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(HyperParams):
+    """The model's HyperParams keys, then the pipeline's."""
     # data
     data_path: str = ""
     min_timestamp: int = -1          # -1 disables the filter
     kcore_k: int = 5
-    # model
-    d: int = 64
-    n_heads: int = 2
-    n_layers: int = 1
-    d_ff: int = 0                    # 0 means 4*d
-    max_len: int = 50
     # optimization
-    lr: float = 0.001
-    batch_size: int = 256
-    neg_count: int = 1
-    seed: int = 0
     pretrain_epochs: int = 50
     tune_epochs: int = 50
     early_stop_patience: int = 10
     # prompts
-    prompt_window: int = 1
     regen_every: int = 0             # 0: generate prompts once, cached
     loss_positions: str = "last"     # or all_real
     trainable: str = "all"           # or head (= W_s + W_l only)
@@ -50,7 +41,7 @@ class RunConfig:
     def validate(self) -> None:
         if not self.data_path:
             raise ConfigError("data_path is required")
-        for key, allowed in (("loss_positions", ("last", "all_real")), ("trainable", ("all", "head")),
+        for key, allowed in (("loss_positions", LOSS_POSITIONS), ("trainable", TRAINABLE),
                              ("eval_split", ("valid", "test")), ("sweep_axis", ("m_n", "K"))):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"bad {key} {getattr(self, key)!r}")
@@ -59,7 +50,6 @@ class RunConfig:
         try:
             self.ks()
             self.modes()
-            self.hyper()
         except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc)) from exc
         if self.recall_m + self.recall_n != max(self.ks()):
@@ -107,9 +97,11 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config(path) -> RunConfig:
-    """Unknown keys are hard errors; '#' starts a comment."""
-    cfg = RunConfig()
+    """Unknown keys are hard errors; '#' starts a comment. The config is
+    built once from every parsed key, so HyperParams' checks and its d_ff
+    default see the final values."""
     known = {f.name for f in fields(RunConfig)}
+    values = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -125,6 +117,10 @@ def parse_config(path) -> RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in known:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            setattr(cfg, key, _coerce(key, raw))
+            values[key] = _coerce(key, raw)
+    try:
+        cfg = RunConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     cfg.validate()
     return cfg

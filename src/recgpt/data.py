@@ -24,14 +24,10 @@ class Catalog:
 
     users: list[str]
     items: list[str]
-    user_to_index: dict[str, int] = field(default_factory=dict)
-    item_to_index: dict[str, int] = field(default_factory=dict)
+    item_to_index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.user_to_index:
-            self.user_to_index = {u: i for i, u in enumerate(self.users)}
-        if not self.item_to_index:
-            self.item_to_index = {v: i for i, v in enumerate(self.items)}
+        self.item_to_index = {v: i for i, v in enumerate(self.items)}
 
     @property
     def n_users(self) -> int:
@@ -54,7 +50,6 @@ class SplitDataset:
     valid_target: np.ndarray
     test_target: np.ndarray
     catalog: Catalog
-    max_len: int = 50
 
     @property
     def n_users(self) -> int:
@@ -121,19 +116,13 @@ def kcore_filter(interactions: list[Interaction], k: int = 5) -> list[Interactio
         current = [r for r in current if r.user_id not in bad_users and r.item_id not in bad_items]
 
 
-def build_splits(
-    interactions: list[Interaction],
-    min_ts: int | None = None,
-    max_len: int = 50,
-) -> SplitDataset:
+def build_splits(interactions: list[Interaction]) -> SplitDataset:
     """Chronological per-user split: last item -> test, second-to-last -> valid.
 
     Ties in timestamp are broken by input order (stable sort), so the result
     is a deterministic function of the input record list. Users left with
     fewer than 3 interactions are dropped.
     """
-    if min_ts is not None:
-        interactions = [r for r in interactions if r.timestamp >= min_ts]
     per_user: dict[str, list[tuple[int, int, str]]] = defaultdict(list)
     for idx, r in enumerate(interactions):
         per_user[r.user_id].append((r.timestamp, idx, r.item_id))
@@ -151,7 +140,7 @@ def build_splits(
         sequences.append(seq[:-2])
         valid_target[ui] = seq[-2]
         test_target[ui] = seq[-1]
-    return SplitDataset(sequences, valid_target, test_target, catalog, max_len=max_len)
+    return SplitDataset(sequences, valid_target, test_target, catalog)
 
 
 def sample_negatives(seq_items, vocab_size: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import REAL, SCORER_OUTPUT_LAYER, SCORER_TIED_EMB, ModelParams
-from .recall import RecallResult, dump_recall_csv, recall_grid, recall_rows
+from .recall import RecallResult, dump_recall_csv, real_items, recall_grid, recall_rows
 from .training import PromptEnhancedSequence, extend_prompt_rows, generate_prompt_cache, prompt_tune
 
 # mode -> (which params, two_step?, scorer)
@@ -124,16 +124,23 @@ def _recall_split(m, n, k_max: int) -> None:
 
 
 def _inputs(dataset: SplitDataset, split: str, which: str, pretrained: ModelParams | None,
-            prompts, prompt_k: int) -> tuple[list[int], list]:
-    """The users with a non-empty split input and their (items, segments)
-    rows: prompt-enhanced for a tuned model at prompt_k > 0, else real."""
+            prompts, prompt_k: int, k: int, filter_history: bool) -> tuple[list[int], list]:
+    """The users whose split input can fill a ranking of k and their (items,
+    segments) rows: prompt-enhanced for a tuned model at prompt_k > 0, else
+    real. A user is excluded when the input is empty or fewer than k catalog
+    items are eligible, which under filter_history are those outside the
+    input's real items."""
     if which == "tuned" and prompt_k > 0:
         inputs = [(p.items, p.segments)
                   for p in prompt_inputs(dataset, split, pretrained, prompts, prompt_k)]
     else:
         inputs = [(seq, [REAL] * len(seq))
                   for seq in (eval_input(dataset, u, split) for u in range(dataset.n_users))]
-    users = [u for u, (seq, _) in enumerate(inputs) if seq]
+
+    def eligible(row) -> int:
+        return dataset.catalog.n_items - (len(real_items(*row)) if filter_history else 0)
+
+    users = [u for u, row in enumerate(inputs) if row[0] and eligible(row) >= k]
     return users, [inputs[u] for u in users]
 
 
@@ -192,7 +199,8 @@ def evaluate(
         m, n = max(ks), 0   # two-step recall with n = 0 is one-step recall
     _recall_split(m, n, max(ks))
 
-    users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k)
+    users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k, max(ks),
+                          filter_history)
     results = recall_rows(params, users, rows, m, n, scorer, filter_history=filter_history)
     if dump_path is not None:
         dump_recall_csv(dump_path, results, catalog=dataset.catalog)
@@ -233,7 +241,8 @@ def sweep_mn(
     for m, n in grid:
         _recall_split(m, n, max(ks))
     which, _, scorer = MODES["RECGPT"]
-    users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k)
+    users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k, max(ks),
+                          filter_history)
     table = SweepTable(axis="m_n", points=list(grid))
     for results in recall_grid(tuned, users, rows, table.points, scorer, filter_history):
         _collect(table, _report(dataset, split, "RECGPT", ks, users, results))

@@ -26,7 +26,7 @@ class RecallResult:
 CHUNK_POSITIONS = 512
 
 
-def _real_items(seq, segments) -> set[int]:
+def real_items(seq, segments) -> set[int]:
     return {int(v) for v, s in zip(seq, segments) if s == REAL}
 
 
@@ -82,7 +82,7 @@ def _step(params: ModelParams, users, rows, chosen: list[RecallResult], k: int, 
         exclude = {int(i) for i in res.items}
         # history filtering excludes real interactions only, never prompt items
         if filter_history:
-            exclude |= _real_items(seq, segments)
+            exclude |= real_items(seq, segments)
         top = rank_items(logits, k, exclude=exclude)
         out.append(RecallResult(res.user, np.concatenate([res.items, top]),
                                 np.concatenate([res.scores, logits[top]]),
@@ -91,7 +91,11 @@ def _step(params: ModelParams, users, rows, chosen: list[RecallResult], k: int, 
 
 
 def _grown(rows, step1: list[RecallResult]) -> list[tuple[list, list]]:
-    """Each row with its step-1 argmax appended as a PROMPT."""
+    """Each row with its step-1 argmax appended as a PROMPT; a row whose
+    step 1 ranked nothing (every item excluded) is refused."""
+    for i, res in enumerate(step1):
+        if not len(res.items):
+            raise ValueError(f"row {i}: step 1 ranked no item to append for step 2")
     return [(seq + [int(res.items[0])], segments + [PROMPT])
             for (seq, segments), res in zip(rows, step1)]
 

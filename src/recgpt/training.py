@@ -26,6 +26,11 @@ class TrainingError(RuntimeError):
     """Divergence or invalid training configuration."""
 
 
+# prompt_tune's allowed loss_positions and trainable sets
+LOSS_POSITIONS = ("last", "all_real")
+TRAINABLE = ("all", "head")
+
+
 @dataclass
 class PromptEnhancedSequence:
     """Real items interleaved with K generated prompt items before each real
@@ -155,11 +160,12 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
     return params, report
 
 
-def pretrain_row(dataset: SplitDataset, user: int, neg_count: int, rng: np.random.Generator):
+def pretrain_row(dataset: SplitDataset, user: int, max_len: int, neg_count: int,
+                 rng: np.random.Generator):
     """A pretraining row: the user's last max_len train items, all REAL, with
     a target (t, next item, negatives drawn outside the user's full sequence)
     at every position t but the last."""
-    seq = dataset.sequences[user][-dataset.max_len:]
+    seq = dataset.sequences[user][-max_len:]
     full = dataset.full_sequence(user)
     return user, seq, [REAL] * len(seq), [
         (t, int(seq[t + 1]), sample_negatives(full, dataset.catalog.n_items, neg_count, rng))
@@ -189,7 +195,7 @@ def pretrain(
 
     def batches(epoch):
         return iter_batches(dataset.n_users, hyper.batch_size, rng,
-                            lambda u: pretrain_row(dataset, u, hyper.neg_count, rng))
+                            lambda u: pretrain_row(dataset, u, hyper.max_len, hyper.neg_count, rng))
 
     reals = [(seq, [REAL] * len(seq)) for seq in dataset.sequences]
     params, report = _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
@@ -278,9 +284,9 @@ def prompt_tune(
     target is the held-out next item at the final real position;
     loss_positions='all_real' additionally predicts each next real item.
     """
-    if loss_positions not in ("last", "all_real"):
+    if loss_positions not in LOSS_POSITIONS:
         raise TrainingError(f"unknown loss_positions {loss_positions!r}")
-    if trainable not in ("all", "head"):
+    if trainable not in TRAINABLE:
         raise TrainingError(f"unknown trainable set {trainable!r}")
     if seed is None:
         seed = hyper.seed
@@ -290,7 +296,7 @@ def prompt_tune(
     params["W_l"].value[...] = params["W_e"].value
 
     def tune_inputs(pes_list):
-        return [tuple(truncate_last(p.items, p.segments, dataset.max_len))
+        return [tuple(truncate_last(p.items, p.segments, hyper.max_len))
                 for p in pes_list]
 
     def row(u):

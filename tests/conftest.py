@@ -32,7 +32,7 @@ def rewrite_manifest(path, edit):
     path.write_bytes(MAGIC + np.array(len(payload), dtype="<u4").tobytes() + payload + raw[end:])
 
 
-def make_dataset(sequences, valid, test, n_items, max_len=50):
+def make_dataset(sequences, valid, test, n_items):
     """Wrap raw per-user index sequences into a SplitDataset."""
     catalog = Catalog(
         users=[f"u{i}" for i in range(len(sequences))],
@@ -43,11 +43,10 @@ def make_dataset(sequences, valid, test, n_items, max_len=50):
         np.asarray(valid, dtype=np.int64),
         np.asarray(test, dtype=np.int64),
         catalog,
-        max_len=max_len,
     )
 
 
-def cyclic_dataset(n_users=200, length=15, n_items=20, seed=0, max_len=50):
+def cyclic_dataset(n_users=200, length=15, n_items=20, seed=0):
     """Deterministic walk: each user starts at a random item and always moves
     to the next index mod n_items. The generator is the ground-truth oracle:
     the target after item v is always (v + 1) % n_items."""
@@ -59,10 +58,10 @@ def cyclic_dataset(n_users=200, length=15, n_items=20, seed=0, max_len=50):
         seqs.append(full[:-2])
         valid.append(full[-2])
         test.append(full[-1])
-    return make_dataset(seqs, valid, test, n_items, max_len=max_len)
+    return make_dataset(seqs, valid, test, n_items)
 
 
-def lookahead_dataset(n_users=200, length=15, n_items=40, seed=0, max_len=50):
+def lookahead_dataset(n_users=200, length=15, n_items=40, seed=0):
     """Stochastic walk stepping +1 or +2 with equal probability, so the target
     distribution covers both the next and the next-next item of the cycle."""
     rng = np.random.default_rng(seed)
@@ -76,11 +75,10 @@ def lookahead_dataset(n_users=200, length=15, n_items=40, seed=0, max_len=50):
         seqs.append(full[:-2])
         valid.append(full[-2])
         test.append(full[-1])
-    return make_dataset(seqs, valid, test, n_items, max_len=max_len)
+    return make_dataset(seqs, valid, test, n_items)
 
 
-def noisy_walk_dataset(n_users=300, length=20, n_items=100, p_skip=0.3, seed=1,
-                       max_len=50):
+def noisy_walk_dataset(n_users=300, length=20, n_items=100, p_skip=0.3, seed=1):
     """Walk stepping +1 (probability 1-p_skip) or +2 (p_skip) mod n_items.
     Harder than the lookahead task: the larger catalog keeps HR@10 off its
     ceiling, which is what the prompt-window sweep needs to show a shape."""
@@ -95,7 +93,7 @@ def noisy_walk_dataset(n_users=300, length=20, n_items=100, p_skip=0.3, seed=1,
         seqs.append(full[:-2])
         valid.append(full[-2])
         test.append(full[-1])
-    return make_dataset(seqs, valid, test, n_items, max_len=max_len)
+    return make_dataset(seqs, valid, test, n_items)
 
 
 def tiny_hyper(**overrides):
@@ -110,7 +108,7 @@ def tiny_params(n_users=3, n_items=6, seed=0, **hyper_overrides):
     return ModelParams(n_users, n_items, hp, rng=np.random.default_rng(seed))
 
 
-def tiny_dataset(n_users=3, n_items=6, length=6, seed=0, max_len=12):
+def tiny_dataset(n_users=3, n_items=6, length=6, seed=0):
     rng = np.random.default_rng(seed)
     seqs, valid, test = [], [], []
     for _ in range(n_users):
@@ -118,7 +116,7 @@ def tiny_dataset(n_users=3, n_items=6, length=6, seed=0, max_len=12):
         seqs.append(full[:-2])
         valid.append(full[-2])
         test.append(full[-1])
-    return make_dataset(seqs, valid, test, n_items, max_len=max_len)
+    return make_dataset(seqs, valid, test, n_items)
 
 
 @pytest.fixture

@@ -126,7 +126,7 @@ def test_criterion_1_gradient_suite():
         rng = np.random.default_rng(seed)
         seqs = [rng.integers(0, 6, size=4).tolist() for _ in range(2)]
         ds = make_dataset(seqs, rng.integers(0, 6, size=2),
-                          rng.integers(0, 6, size=2), n_items=6, max_len=6)
+                          rng.integers(0, 6, size=2), n_items=6)
         base = ModelParams(2, 6, hp, rng=np.random.default_rng(seed))
         # O(1) weights keep every gradient coordinate well above the roundoff
         # floor of central differences, so the tolerance is meaningful
@@ -199,7 +199,7 @@ def test_criterion_2_structural_invariants():
         trial_rng = np.random.default_rng(trial)
         seqs = [trial_rng.integers(0, 5, size=4).tolist() for _ in range(2)]
         ds = make_dataset(seqs, trial_rng.integers(0, 5, size=2),
-                          trial_rng.integers(0, 5, size=2), n_items=5, max_len=6)
+                          trial_rng.integers(0, 5, size=2), n_items=5)
         pre = ModelParams(2, 5, hp, rng=np.random.default_rng(trial + 1))
         prompts = generate_prompt_cache(ds, pre, 0)
         for pes, seq in zip(prompts, ds.sequences):
@@ -308,7 +308,7 @@ def test_criterion_5_beauty_directional():
         pytest.skip("Beauty interaction file not available in this environment")
 
     records = kcore_filter(ingest_tsv(path), k=5)
-    ds = build_splits(records, max_len=50)
+    ds = build_splits(records)
     hp = HyperParams(d=64, n_heads=2, n_layers=1, max_len=50, lr=0.001,
                      batch_size=256, seed=0, prompt_window=1)
     pre, _ = pretrain(ds, hp, epochs=200, early_stop_patience=10)

@@ -230,7 +230,7 @@ def ragged():
     seqs = [[], [3], [1, 4, 2, 5, 7, 0, 8], [6], [], [2, 9, 3], [5, 5, 1, 0, 4, 6]]
     valid = [4, 7, 3, 0, 9, 1, 2]
     test = [1, 2, 6, 8, 3, 5, 7]
-    ds = make_dataset(seqs, valid, test, 16, max_len=4)
+    ds = make_dataset(seqs, valid, test, 16)
     pre = _params(11, n_users=7, n_items=16, max_len=4, ties=True)
     tuned = _params(12, n_users=7, n_items=16, max_len=4)
     return ds, pre, tuned
@@ -288,8 +288,7 @@ def test_every_mode_with_empty_and_short_prefixes_equals_the_per_user_path(ragge
 def test_early_stopping_hr_equals_the_per_user_path(scorer):
     rng = np.random.default_rng(8)
     seqs = [rng.integers(0, 40, size=L).tolist() for L in (0, 1, 3, 4, 4, 6, 9, 2, 0, 5, 4, 7)]
-    ds = make_dataset(seqs, rng.integers(0, 40, size=12), rng.integers(0, 40, size=12), 40,
-                      max_len=4)
+    ds = make_dataset(seqs, rng.integers(0, 40, size=12), rng.integers(0, 40, size=12), 40)
     inputs = [(seq, [REAL] * len(seq)) for seq in ds.sequences]
     for seed in range(4):
         params = _params(20 + seed, n_users=12, n_items=40, max_len=4)

@@ -1,9 +1,12 @@
 """Config parsing and the end-to-end pipeline CLI."""
+from dataclasses import fields
+
 import pytest
 
 from recgpt.checkpoint import load
-from recgpt.cli import main
+from recgpt.cli import load_dataset, main, run_dir
 from recgpt.config import ConfigError, RunConfig, parse_config
+from recgpt.model import HyperParams
 
 from conftest import rewrite_manifest
 
@@ -94,6 +97,54 @@ def test_config_hash_tracks_content(tmp_path):
     c = parse_config(write_config(tmp_path, name="c.cfg", seed=99))
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def test_every_hyper_param_is_a_config_key_with_its_default():
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for f in fields(HyperParams):
+        assert defaults[f.name] == f.default, f.name
+    assert RunConfig().hyper() == HyperParams()
+
+
+def test_d_ff_zero_and_four_d_name_one_run(tmp_path):
+    a = parse_config(write_config(tmp_path, name="a.cfg", d_ff=0))
+    b = parse_config(write_config(tmp_path, name="b.cfg", d_ff=32))
+    assert a.d_ff == b.d_ff == 32
+    assert a.config_hash() == b.config_hash()
+
+
+def test_d_not_divisible_by_n_heads_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, n_heads=3)
+    with pytest.raises(ConfigError, match="not divisible"):
+        parse_config(path)
+    assert main(["preprocess", "--config", str(path)]) == 2
+    assert "not divisible by n_heads=3" in capsys.readouterr().err
+
+
+def test_min_timestamp_drops_earlier_interactions_before_the_kcore(tmp_path):
+    """Item E has two users, but one of them only before timestamp 1: with
+    min_timestamp = 1 the filter runs first and the 2-core then drops E,
+    with item A that only timestamp 0 holds. The default -1 keeps all."""
+    tsv = tmp_path / "ts.tsv"
+    tsv.write_text("".join(f"{u}\t{i}\t{t}\n" for u, i, t in (
+        ("u0", "A", 0), ("u0", "E", 0), ("u0", "B", 1), ("u0", "C", 2), ("u0", "D", 3),
+        ("u1", "A", 0), ("u1", "B", 5), ("u1", "C", 6), ("u1", "D", 7), ("u1", "E", 8),
+        ("u2", "B", 4), ("u2", "C", 5), ("u2", "D", 6))))
+    for min_ts, items, actions in ((-1, ["A", "B", "C", "D", "E"], 13), (1, ["B", "C", "D"], 9)):
+        path = tmp_path / f"ts{min_ts}.cfg"
+        path.write_text(CONFIG_TEMPLATE.format(data=tsv, out=tmp_path / "runs")
+                        + f"min_timestamp = {min_ts}\n")
+        assert main(["preprocess", "--config", str(path)]) == 0
+        cfg = parse_config(path)
+        stats = (run_dir(cfg) / "stats.csv").read_text().splitlines()[1].split(",")
+        assert stats[:3] == ["3", str(len(items)), str(actions)]
+        dataset, manifest = load_dataset(run_dir(cfg) / "dataset.ckpt", cfg)
+        assert dataset.catalog.items == items
+        assert "max_len" not in manifest["meta"]
+    idx = dataset.catalog.item_to_index
+    assert dataset.sequences == [[idx["B"]]] * 3
+    assert dataset.valid_target.tolist() == [idx["C"]] * 3
+    assert dataset.test_target.tolist() == [idx["D"]] * 3
 
 
 def test_unknown_eval_mode_rejected(tmp_path):
@@ -478,10 +529,10 @@ def test_loaders_refuse_a_manifest_missing_a_meta_key(prompt_run, tmp_path, name
 
 
 @pytest.mark.parametrize("name,mutate", [
-    ("dataset.ckpt", _set_meta("max_len", "abc")),
+    ("dataset.ckpt", _set_meta("items", "abc")),
     ("pretrain.ckpt", _set_meta("n_items", "20")),
     ("pretrain.ckpt", _set_meta("upstream", [1])),
-], ids=["dataset_max_len_str", "model_n_items_str", "model_upstream_list"])
+], ids=["dataset_items_str", "model_n_items_str", "model_upstream_list"])
 def test_loaders_refuse_a_mistyped_meta_value(prompt_run, tmp_path, name, mutate, capsys):
     cfg_path, run = prompt_run
     dest = _copy_run(run, tmp_path, cfg_path, ("dataset.ckpt", "pretrain.ckpt"))

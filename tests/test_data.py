@@ -157,16 +157,6 @@ def test_build_splits_drops_short_users():
     assert ds.n_users == 0
 
 
-def test_build_splits_min_ts_filter():
-    records = [Interaction("u1", item, ts)
-               for ts, item in enumerate(["A", "B", "C", "D", "E"])]
-    ds = build_splits(records, min_ts=1)
-    idx = ds.catalog.item_to_index
-    assert "A" not in idx
-    assert ds.sequences[0] == [idx["B"], idx["C"]]
-    assert int(ds.test_target[0]) == idx["E"]
-
-
 def test_build_splits_tie_break_is_input_order():
     records = [Interaction("u1", item, 100) for item in ["C", "A", "B", "E", "D"]]
     ds = build_splits(records)
@@ -315,14 +305,14 @@ def test_stats_match_direct_count_oracle():
 
 def test_iter_batches_contract():
     # max_len below the train-prefix length, so rows are truncated
-    ds = tiny_dataset(n_users=7, n_items=10, length=6, seed=4, max_len=3)
+    ds = tiny_dataset(n_users=7, n_items=10, length=6, seed=4)
     rng = np.random.default_rng(0)
     seen_users = []
-    for rows in iter_batches(ds.n_users, 3, rng, lambda u: pretrain_row(ds, u, 2, rng)):
+    for rows in iter_batches(ds.n_users, 3, rng, lambda u: pretrain_row(ds, u, 3, 2, rng)):
         assert len(rows) <= 3
         for u, items, segments, targets in rows:
             seen_users.append(u)
-            assert items == ds.sequences[u][-ds.max_len:]
+            assert items == ds.sequences[u][-3:]
             assert segments == [REAL] * len(items)
             full = set(ds.full_sequence(u))
             assert [t for t, _, _ in targets] == list(range(len(items) - 1))

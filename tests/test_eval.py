@@ -119,6 +119,24 @@ def test_evaluate_requires_checkpoints():
                  ks=(5,), prompt_k=2)
 
 
+def test_users_with_fewer_than_k_eligible_items_are_excluded():
+    """Under filter_history, user 0's test input holds 5 of the 8 items, so
+    no top 5 can be filled: evaluate and every sweep_mn point count the user
+    as excluded and rank the other two; unfiltered, all three are ranked."""
+    ds = make_dataset([[0, 1, 2, 3], [5, 5, 6], [7]], [4, 6, 2], [6, 0, 3], 8)
+    pre = tiny_params(n_users=3, n_items=8, seed=40)
+    tuned = tiny_params(n_users=3, n_items=8, seed=41)
+    report = evaluate(ds, "test", "PRETRAIN", pretrained=pre, ks=(5,), filter_history=True)
+    assert (report.n_users, report.n_excluded) == (2, 1)
+    assert evaluate(ds, "test", "PRETRAIN", pretrained=pre, ks=(5,)).n_excluded == 0
+    table = sweep_mn(ds, "test", pre, tuned, ks=(5,), filter_history=True)
+    for i, (m, n) in enumerate(table.points):
+        point = evaluate(ds, "test", "RECGPT", pretrained=pre, tuned=tuned, ks=(5,), m=m, n=n,
+                         filter_history=True)
+        assert point.n_excluded == 1
+        assert {key: values[i] for key, values in table.values.items()} == point.metrics
+
+
 def test_metrics_bounded_and_monotone_in_k():
     ds = tiny_dataset(n_users=6, n_items=15, length=6, seed=5)
     params = tiny_params(n_users=6, n_items=15, seed=5)
@@ -184,7 +202,7 @@ def test_sweep_mn_first_row_equals_one_step_eval():
 def prompted():
     """A pretrained and a K=2-tuned model on histories longer than max_len,
     so building the test input shifts the truncation window."""
-    ds = tiny_dataset(n_users=6, n_items=12, length=9, seed=21, max_len=4)
+    ds = tiny_dataset(n_users=6, n_items=12, length=9, seed=21)
     hp = tiny_hyper(seed=21, max_len=4, prompt_window=2)
     pre, _ = pretrain(ds, hp, epochs=1)
     cache = generate_prompt_cache(ds, pre, 2)
@@ -240,7 +258,7 @@ def swept():
     """Empty, short and past-max_len train prefixes; a tuned model with and
     without duplicated W_l rows, whose tied step-2 scores overlap step 1."""
     seqs = [[], [3], [1, 4, 2, 5, 7, 0, 8], [6, 6], [], [2, 9, 3], [5, 5, 1, 0, 4, 6]]
-    ds = make_dataset(seqs, [4, 7, 3, 0, 9, 1, 2], [1, 2, 6, 8, 3, 5, 7], 24, max_len=4)
+    ds = make_dataset(seqs, [4, 7, 3, 0, 9, 1, 2], [1, 2, 6, 8, 3, 5, 7], 24)
     pre = tiny_params(n_users=7, n_items=24, seed=31, max_len=4)
     tuned = tiny_params(n_users=7, n_items=24, seed=32, max_len=4)
     for params in (pre, tuned):

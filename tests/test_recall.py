@@ -46,6 +46,19 @@ def test_one_step_requires_nonempty_sequence():
         recall_one_step(tiny_params(), 0, [], 3, SCORER_TIED_EMB)
 
 
+def test_step_2_refuses_a_row_whose_step_1_ranked_nothing():
+    # filter_history excludes every item of a 6-item catalog
+    params, seq = tiny_params(n_items=6), [0, 1, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="row 0: step 1 ranked no item"):
+        recall_two_step(params, 0, seq, 1, 1, SCORER_OUTPUT_LAYER, filter_history=True)
+    with pytest.raises(ValueError, match="row 1: step 1 ranked no item"):
+        recall_rows(params, [0, 1], [([0], None), (seq, None)], 1, 1, SCORER_OUTPUT_LAYER,
+                    filter_history=True)
+    with pytest.raises(ValueError, match="row 0: step 1 ranked no item"):
+        recall_grid(params, [0], [(seq, None)], [(2, 0), (1, 1)], SCORER_OUTPUT_LAYER,
+                    filter_history=True)
+
+
 def test_two_step_with_n0_equals_one_step_bitwise(rng):
     for trial in range(100):
         params = tiny_params(seed=trial, n_items=9)

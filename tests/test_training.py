@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import recgpt.training
 from recgpt.model import (
     PROMPT,
     REAL,
@@ -26,6 +27,7 @@ from recgpt.training import (
     generate_prompt_cache,
     generate_prompts,
     pretrain,
+    pretrain_row,
     prompt_tune,
     regeneration_epochs,
 )
@@ -83,6 +85,32 @@ def test_pretrain_leaves_segment_and_output_weights_untouched():
             h, _ = forward(params, u, pes.items[:pos], pes.segments[:pos])
             logits = score_items(params, h[-1], SCORER_TIED_EMB)
             assert pes.items[pos] == int(rank_items(logits, 1)[0])
+
+
+def test_pretrain_row_keeps_the_last_max_len_items():
+    ds = tiny_dataset(n_users=2, n_items=12, length=10, seed=14)
+    user, items, segments, targets = pretrain_row(ds, 1, 4, 1, np.random.default_rng(0))
+    assert (user, items, segments) == (1, ds.sequences[1][-4:], [REAL] * 4)
+    assert [(t, pos) for t, pos, _ in targets] == [(t, items[t + 1]) for t in range(3)]
+
+
+def test_both_stages_train_on_the_last_hyper_max_len_items(monkeypatch):
+    """Train prefixes of 8 items under max_len 4: each stage cuts every row
+    it trains on to its last 4 items, as inference does."""
+    ds = tiny_dataset(n_users=4, n_items=12, length=10, seed=13)
+    hp = tiny_hyper(seed=13, max_len=4, prompt_window=1)
+    lengths = []
+
+    def recording(params, user, items, segments):
+        lengths.append(len(items))
+        return forward(params, user, items, segments)
+
+    monkeypatch.setattr(recgpt.training, "forward", recording)
+    pre, report = pretrain(ds, hp, epochs=1)
+    assert lengths == [4] * ds.n_users and np.isfinite(report.epoch_losses[0])
+    lengths.clear()
+    _, report = prompt_tune(ds, pre, generate_prompt_cache(ds, pre, 1), hp, epochs=1)
+    assert lengths == [4] * ds.n_users and np.isfinite(report.epoch_losses[0])
 
 
 # ---------------------------------------------------------------------------
