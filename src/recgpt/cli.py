@@ -245,6 +245,18 @@ def _verify_upstream_hash(path, manifest: dict, key: str, expected: str, stage: 
         )
 
 
+def _print_speed(report: TrainReport, n_users: int) -> None:
+    """Wall time and user-epochs/s of a training stage, and, with early
+    stopping, the epoch kept; stdout only, as wall time must stay out of
+    the checkpoints and report CSVs."""
+    epochs = len(report.epoch_losses)
+    print(f"{report.stage}: {epochs} epochs in {report.wall_time:.3f} s, "
+          f"{n_users * epochs / max(report.wall_time, 1e-9):.1f} user-epochs/s")
+    if "best_valid_hr10" in report.extra:
+        print(f"best epoch {report.best_epoch}, "
+              f"best_valid_hr10 {report.extra['best_valid_hr10']:.4f}")
+
+
 def _write_report(path: Path, report: TrainReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss\n")
@@ -290,6 +302,7 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
     save_model(path, params, "pretrain", cfg,
                upstream={"preprocess": ds_manifest["blob_sha256"]}, report=report)
     _write_report(report_path, report)
+    _print_speed(report, dataset.n_users)
     print(f"pretrained {len(report.epoch_losses)} epochs, "
           f"final loss {report.epoch_losses[-1]:.4f}; wrote {path}")
     return 0
@@ -365,6 +378,7 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     save_model(path, tuned, "tune", cfg,
                upstream={"pretrain": pre_manifest["blob_sha256"]}, report=report)
     _write_report(report_path, report)
+    _print_speed(report, dataset.n_users)
     print(f"tuned {len(report.epoch_losses)} epochs at K={K}; wrote {path}")
     return 0
 

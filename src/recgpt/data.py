@@ -145,17 +145,20 @@ def build_splits(interactions: list[Interaction]) -> SplitDataset:
 
 def sample_negatives(seq_items, vocab_size: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws over items absent from the user's full sequence; ids
-    outside [0, vocab_size) are never drawn, so they exclude nothing."""
-    excluded = {i for i in map(int, seq_items) if 0 <= i < vocab_size}
-    if vocab_size <= len(excluded):
+    outside [0, vocab_size) are never drawn, so they exclude nothing.
+
+    Each round draws the shortfall as one vector and keeps its eligible
+    draws in order, so the result and the generator state after it equal
+    count one-at-a-time draws that each redraw until eligible."""
+    seq = np.fromiter(map(int, seq_items), dtype=np.int64)
+    excluded = np.zeros(vocab_size, dtype=bool)
+    excluded[seq[(seq >= 0) & (seq < vocab_size)]] = True
+    if excluded.all():
         raise DataError("negative sampling: vocabulary exhausted by the user's sequence")
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        while True:
-            cand = int(rng.integers(0, vocab_size))
-            if cand not in excluded:
-                out[i] = cand
-                break
+    out = np.empty(0, dtype=np.int64)
+    while out.size < count:
+        cand = rng.integers(0, vocab_size, size=count - out.size)
+        out = np.concatenate([out, cand[~excluded[cand]]])
     return out
 
 
@@ -166,6 +169,20 @@ def truncate_last(items, segments, max_len: int):
     if len(items) != len(segments):
         raise DataError("items and segments must be aligned")
     return list(items[-max_len:]), list(segments[-max_len:])
+
+
+def length_groups(lengths, max_positions: int) -> list[np.ndarray]:
+    """Indices of the rows of each length (at least 1), in order of first
+    appearance, split into near-equal chunks of at most max_positions
+    positions (and at least one row) for stacked (B, L) calls."""
+    by_len: dict[int, list[int]] = {}
+    for i, L in enumerate(lengths):
+        by_len.setdefault(L, []).append(i)
+    groups = []
+    for L, idx in by_len.items():
+        n_chunks = -(-len(idx) // max(1, max_positions // L))
+        groups += np.array_split(np.asarray(idx), n_chunks)
+    return groups
 
 
 def iter_batches(n_users: int, batch_size: int, rng: np.random.Generator, row):

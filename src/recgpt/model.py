@@ -7,6 +7,9 @@ self-attention (scores scaled by sqrt(d), the full model dimension) followed
 by a two-layer ReLU FFN. No residuals, no layer norm, no dropout.
 
 Gradients are hand-written: forward() returns caches that backward() consumes.
+Both take one user's (L,) row or a stacked (B, L) batch of equal-length rows;
+training runs each equal-length group of a batch as one stacked forward and
+one stacked backward, whose weight gradients sum over every row and position.
 Inference reads only the final position and runs last_hidden(), a stacked
 batch forward without caches whose rows equal forward()'s bit for bit.
 """
@@ -161,7 +164,7 @@ class BlockCache:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    probs: list          # per-head attention weights, each (L, L)
+    probs: list          # per-head attention weights, each (..., L, L)
     att_concat: np.ndarray
     s: np.ndarray        # after the W^S projection
     a1: np.ndarray       # FFN pre-activation
@@ -170,7 +173,7 @@ class BlockCache:
 
 @dataclass
 class ForwardCache:
-    user: int
+    user: int | np.ndarray   # one user, or (B,) for a stacked batch
     items: np.ndarray
     segments: np.ndarray
     h0: np.ndarray
@@ -258,11 +261,11 @@ def decoder_block_backward(params: ModelParams, layer: int, cache: BlockCache,
 
     d_r1, d_w2 = matmul_backward(d_out, cache.r1, w2.value)
     w2.grad += d_w2
-    b2.grad += d_out.sum(axis=0)
+    b2.grad += d_out.reshape(-1, d_out.shape[-1]).sum(axis=0)
     d_a1 = relu_backward(d_r1, cache.a1)
     d_s, d_w1 = matmul_backward(d_a1, cache.s, w1.value)
     w1.grad += d_w1
-    b1.grad += d_a1.sum(axis=0)
+    b1.grad += d_a1.reshape(-1, d_a1.shape[-1]).sum(axis=0)
     d_att, d_ws = matmul_backward(d_s, cache.att_concat, ws.value)
     ws.grad += d_ws
 
@@ -272,12 +275,12 @@ def decoder_block_backward(params: ModelParams, layer: int, cache: BlockCache,
     for hd in range(hp.n_heads):
         sl = slice(hd * head_dim, (hd + 1) * head_dim)
         p = cache.probs[hd]
-        d_a_h = d_att[:, sl]
-        d_p = d_a_h @ cache.v[:, sl].T
-        d_v[:, sl] = p.T @ d_a_h
+        d_a_h = d_att[..., sl]
+        d_p = d_a_h @ cache.v[..., sl].swapaxes(-1, -2)
+        d_v[..., sl] = p.swapaxes(-1, -2) @ d_a_h
         d_scores = softmax_backward(d_p, p) * scale
-        d_q[:, sl] = d_scores @ cache.k[:, sl]
-        d_k[:, sl] = d_scores.T @ cache.q[:, sl]
+        d_q[..., sl] = d_scores @ cache.k[..., sl]
+        d_k[..., sl] = d_scores.swapaxes(-1, -2) @ cache.q[..., sl]
 
     d_h, d_wq = matmul_backward(d_q, cache.h_in, wq.value)
     wq.grad += d_wq
@@ -288,8 +291,12 @@ def decoder_block_backward(params: ModelParams, layer: int, cache: BlockCache,
     return d_h + dh_k + dh_v
 
 
-def forward(params: ModelParams, user: int, items, segments) -> tuple[np.ndarray, ForwardCache]:
-    """Embed then run all decoder blocks; returns hidden states (L, d) + caches."""
+def forward(params: ModelParams, user, items, segments) -> tuple[np.ndarray, ForwardCache]:
+    """Embed then run all decoder blocks; returns hidden states + caches.
+
+    One user with (L,) items and segments gives (L, d); users of shape (B,)
+    with (B, L) items and segments give the stacked (B, L, d), each slice
+    computed by the same per-slice matmuls as the per-user call."""
     items = np.asarray(items)
     segments = np.asarray(segments)
     h = embed_input(params, user, items, segments)
@@ -302,13 +309,15 @@ def forward(params: ModelParams, user: int, items, segments) -> tuple[np.ndarray
 
 
 def backward(params: ModelParams, cache: ForwardCache, d_h: np.ndarray) -> None:
-    """Accumulate gradients for the whole forward pass into params."""
+    """Accumulate gradients for the whole forward pass into params; d_h has
+    the shape of forward's hidden states, and a stacked batch adds the sum of
+    its rows' gradients."""
     for l in range(params.hyper.n_layers - 1, -1, -1):
         d_h = decoder_block_backward(params, l, cache.blocks[l], d_h)
-    L = cache.items.shape[0]
-    params["W_u"].grad[cache.user] += d_h.sum(axis=0)
+    L = cache.items.shape[-1]
+    embedding_backward(d_h.sum(axis=-2), cache.user, params["W_u"].grad)
     embedding_backward(d_h, cache.items, params["W_e"].grad)
-    params["W_p"].grad[:L] += d_h
+    params["W_p"].grad[:L] += d_h.reshape(-1, L, d_h.shape[-1]).sum(axis=0)
     embedding_backward(d_h, cache.segments, params["W_s"].grad)
 
 

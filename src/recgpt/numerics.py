@@ -1,4 +1,4 @@
-"""Hand-rolled differentiable kernels, Adam, and a finite-difference gradient checker.
+"""Hand-rolled differentiable kernels and Adam.
 
 Tensors are plain row-major numpy ndarrays. Training runs in float32;
 gradient checking promotes everything to float64. Every op is a pure
@@ -47,8 +47,9 @@ class Parameter:
 # ---------------------------------------------------------------------------
 
 def matmul_backward(d_out, a, b):
-    """d(a@b) -> (da, db) given upstream d_out."""
-    return d_out @ b.T, a.T @ d_out
+    """d(a@b) -> (da, db) given upstream d_out; a and d_out may carry leading
+    batch axes, over which db sums as one matmul."""
+    return d_out @ b.T, a.reshape(-1, a.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
 
 
 def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
@@ -95,33 +96,40 @@ def sigmoid(x):
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def bce_pair_loss(pos_score: float, neg_scores) -> tuple[float, float, np.ndarray]:
+def bce_pair_loss(pos_score, neg_scores) -> tuple:
     """-log sigmoid(pos) - sum log(1 - sigmoid(neg)), in log-space-stable form.
 
-    Returns (loss, d_loss/d_pos, d_loss/d_neg).
+    pos_score has shape S (a scalar, or one score per target) and neg_scores
+    S + (n,). Returns (loss, d_loss/d_pos, d_loss/d_neg) in float64; loss and
+    d_pos have shape S, and are floats for a scalar pos_score.
     """
-    pos_score = float(pos_score)
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    require_finite(neg_scores, "bce negative scores")
-    if not np.isfinite(pos_score):
+    pos = np.asarray(pos_score, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    require_finite(neg, "bce negative scores")
+    if not np.all(np.isfinite(pos)):
         raise NumericsError("non-finite positive score in bce_pair_loss")
-    loss = np.logaddexp(0.0, -pos_score) + np.sum(np.logaddexp(0.0, neg_scores))
-    d_pos = -sigmoid(-pos_score)
-    d_neg = sigmoid(neg_scores)
-    return float(loss), float(d_pos), d_neg
+    loss = np.logaddexp(0.0, -pos) + np.sum(np.logaddexp(0.0, neg), axis=-1)
+    d_pos = -sigmoid(-pos)
+    d_neg = sigmoid(neg)
+    return loss[()], d_pos[()], d_neg
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """-log softmax(logits)[target]; returns (loss, grad = softmax - one_hot)."""
-    if not 0 <= target < logits.shape[0]:
-        raise IndexError(f"cross_entropy target {target} out of range [0, {logits.shape[0]})")
+def cross_entropy(logits: np.ndarray, target) -> tuple:
+    """-log softmax(logits)[target] over the last axis; returns (loss, grad =
+    softmax - one_hot). logits (..., V) take target ids of shape (...); a
+    (V,) row with an int target gives a float loss."""
+    target = np.asarray(target)
+    n = logits.shape[-1]
+    if np.any((target < 0) | (target >= n)):
+        raise IndexError(f"cross_entropy target {target} out of range [0, {n})")
     require_finite(logits, "cross_entropy logits")
-    z = logits - logits.max()
-    lse = np.log(np.exp(z).sum())
-    loss = float(lse - z[target])
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    at = target[..., None]
+    loss = (lse - np.take_along_axis(z, at, axis=-1))[..., 0]
     grad = np.exp(z - lse)
-    grad[target] -= 1.0
-    return loss, grad
+    np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=-1) - 1.0, axis=-1)
+    return loss[()], grad
 
 
 # ---------------------------------------------------------------------------
@@ -154,34 +162,3 @@ def adam_step(param: Parameter, state: AdamState) -> None:
     param.value -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(
         param.value.dtype, copy=False
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(fn, inputs, h: float = 1e-5) -> float:
-    """Max relative error between fn's analytic gradients and central differences.
-
-    fn(inputs) must return (scalar value, [gradient array per input]) and be
-    evaluable in float64. Error per element: |a - n| / max(1e-8, |a| + |n|).
-    """
-    inputs = [np.array(x, dtype=np.float64) for x in inputs]
-    value, analytic = fn(inputs)
-    if not np.isfinite(value):
-        raise NumericsError("grad_check: non-finite function value")
-    max_err = 0.0
-    for k, x in enumerate(inputs):
-        flat = x.reshape(-1)
-        a_flat = np.asarray(analytic[k], dtype=np.float64).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = fn(inputs)
-            flat[i] = orig - h
-            down, _ = fn(inputs)
-            flat[i] = orig
-            num = (up - down) / (2.0 * h)
-            err = abs(a_flat[i] - num) / max(1e-8, abs(a_flat[i]) + abs(num))
-            max_err = max(max_err, err)
-    return max_err

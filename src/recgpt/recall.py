@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import truncate_last
+from .data import length_groups, truncate_last
 from .model import PROMPT, REAL, ModelParams, forward, last_hidden, rank_items, score_items
 
 STEP1 = "STEP1"
@@ -46,20 +46,16 @@ def final_hidden(params: ModelParams, users, rows) -> np.ndarray:
     that per-user forward: last_hidden needs two rows or more."""
     cut = [truncate_last(list(items), list(segments), params.hyper.max_len)
            for items, segments in rows]
-    by_len: dict[int, list[int]] = {}
     for i, (items, _) in enumerate(cut):
         if not items:
             raise ValueError(f"row {i}: no hidden state for an empty sequence")
-        by_len.setdefault(len(items), []).append(i)
     out = np.empty((len(rows), params.hyper.d), dtype=params.dtype)
-    for L, idx in by_len.items():
-        n_calls = -(-len(idx) // max(1, CHUNK_POSITIONS // L))
-        for chunk in np.array_split(np.asarray(idx), n_calls):
-            if len(chunk) == 1:
-                out[chunk] = forward(params, users[chunk[0]], *cut[chunk[0]])[0][-1]
-            else:
-                out[chunk] = last_hidden(params, [users[i] for i in chunk],
-                                         [cut[i][0] for i in chunk], [cut[i][1] for i in chunk])
+    for chunk in length_groups([len(items) for items, _ in cut], CHUNK_POSITIONS):
+        if len(chunk) == 1:
+            out[chunk] = forward(params, users[chunk[0]], *cut[chunk[0]])[0][-1]
+        else:
+            out[chunk] = last_hidden(params, [users[i] for i in chunk],
+                                     [cut[i][0] for i in chunk], [cut[i][1] for i in chunk])
     return out
 
 

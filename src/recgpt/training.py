@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SplitDataset, iter_batches, sample_negatives, truncate_last
+from .data import SplitDataset, iter_batches, length_groups, sample_negatives, truncate_last
 from .model import (
     PROMPT,
     REAL,
@@ -25,6 +25,11 @@ from .recall import greedy_steps, recall_rows
 class TrainingError(RuntimeError):
     """Divergence or invalid training configuration."""
 
+
+# positions per stacked training step: a step keeps every block's activations
+# for its backward, so it stacks half as many positions as an inference call
+# (recall.CHUNK_POSITIONS), which bounds peak memory
+TRAIN_CHUNK_POSITIONS = 256
 
 # prompt_tune's allowed loss_positions and trainable sets
 LOSS_POSITIONS = ("last", "all_real")
@@ -80,23 +85,72 @@ def _valid_hr_at_10(dataset: SplitDataset, params: ModelParams, scorer: str,
     return hits / max(1, dataset.n_users)
 
 
-def _bce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, t: int, pos: int,
-                negs: np.ndarray) -> float:
-    """Pairwise BCE at position t through the tied item embeddings."""
+def _bce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, rows: np.ndarray,
+                positions: np.ndarray, pos: np.ndarray, negs: np.ndarray) -> float:
+    """Pairwise BCE through the tied item embeddings, summed over targets:
+    target i scores h[rows[i], positions[i]] against item pos[i] and the
+    negs[i] items."""
     w_e = params["W_e"]
-    loss, d_pos, d_negs = bce_pair_loss(float(w_e.value[pos] @ h[t]), w_e.value[negs] @ h[t])
-    d_h[t] += d_pos * w_e.value[pos] + d_negs @ w_e.value[negs]
-    w_e.grad[pos] += d_pos * h[t]
-    np.add.at(w_e.grad, negs, np.outer(d_negs, h[t]))
+    hs = h[rows, positions]                              # (n, d)
+    ids = np.column_stack([pos, negs])                   # (n, 1 + neg_count)
+    emb = w_e.value[ids]
+    scores = (emb * hs[:, None, :]).sum(axis=-1)
+    loss, d_pos, d_negs = bce_pair_loss(scores[:, 0], scores[:, 1:])
+    d_scores = np.column_stack([d_pos, d_negs]).astype(h.dtype)
+    np.add.at(d_h, (rows, positions), (d_scores[..., None] * emb).sum(axis=1))
+    np.add.at(w_e.grad, ids, d_scores[..., None] * hs[:, None, :])
+    return float(loss.sum())
+
+
+def _ce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, rows: np.ndarray,
+               positions: np.ndarray, targets: np.ndarray) -> float:
+    """Full-catalog cross-entropy through the output layer, summed over
+    targets: target i predicts item targets[i] from h[rows[i], positions[i]],
+    all targets' logits as one (n, V) matmul and W_l's gradient as one
+    (V, d) matmul."""
+    w_l = params["W_l"]
+    hs = h[rows, positions]
+    loss, d_logits = cross_entropy(hs @ w_l.value.T, targets)
+    w_l.grad += d_logits.T @ hs
+    # one (V,) @ (V, d) product per target: an (n, V) @ (V, d) matmul sums
+    # over the catalog, and OpenBLAS gives it other bits at two threads than
+    # at one (seen at V = 2000, n >= 8), which would make checkpoint bytes
+    # depend on OPENBLAS_NUM_THREADS
+    np.add.at(d_h, (rows, positions), (d_logits[:, None, :] @ w_l.value)[:, 0])
+    return float(loss.sum())
+
+
+def _group_step(params: ModelParams, rows, target_loss) -> float:
+    """One stacked forward, loss and backward over equal-length rows; adds
+    their gradients to params and returns their summed loss. Its
+    activations are freed on return, before the next group's forward."""
+    users, items, segments, targets = zip(*rows)
+    h, cache = forward(params, np.asarray(users), np.asarray(items), np.asarray(segments))
+    d_h = np.zeros_like(h)
+    row_of = np.repeat(np.arange(len(rows)), [len(t[0]) for t in targets])
+    loss = target_loss(params, h, d_h, row_of, *map(np.concatenate, zip(*targets)))
+    backward(params, cache, d_h)
     return loss
 
 
-def _ce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, pos: int, tgt: int) -> float:
-    """Full-catalog cross-entropy at position pos through the output layer."""
-    w_l = params["W_l"]
-    loss, d_logits = cross_entropy(w_l.value @ h[pos], tgt)
-    w_l.grad += np.outer(d_logits, h[pos])
-    d_h[pos] += w_l.value.T @ d_logits
+def _batch_grads(params: ModelParams, rows, target_loss) -> float:
+    """Set params' gradients to the batch's loss gradient averaged over its
+    rows; returns the summed loss.
+
+    rows are (user, items, segments, targets), where targets is a tuple of
+    equal-length index arrays, the first of them the positions the targets
+    are read at; a row without targets is skipped. The rows of each length
+    run as stacked groups of at most TRAIN_CHUNK_POSITIONS positions
+    (data.length_groups): one forward, then
+    target_loss(params, h, d_h, rows, *targets), which adds every target's
+    loss gradient to d_h and to the head it scores with (rows maps each
+    target to its row of the group), then one backward."""
+    params.zero_grads()
+    kept = [row for row in rows if len(row[3][0])]
+    loss = 0.0
+    for group in length_groups([len(row[1]) for row in kept], TRAIN_CHUNK_POSITIONS):
+        loss += _group_step(params, [kept[i] for i in group], target_loss)
+    params.scale_grads(1.0 / max(1, len(rows)))
     return loss
 
 
@@ -105,37 +159,21 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
            ) -> tuple[ModelParams, TrainReport]:
     """The loop both stages share.
 
-    batches(epoch) yields lists of (user, items, segments, targets) rows; a
-    row without targets is skipped. Each row is run forward, and
-    target_loss(params, h, d_h, *target) adds each target's loss gradient to
-    d_h and to the head it scores with; the batch then takes one Adam step on
-    `trainable` with gradients averaged over its rows. With
+    batches(epoch) yields lists of rows; each batch takes one Adam step on
+    `trainable` with the gradients _batch_grads gives. With
     early_stop_patience > 0, valid_hr(params) is checked after each epoch and
     the best copy is returned.
     """
     states = {n: AdamState.for_param(params[n], lr=lr) for n in trainable}
-    t0 = time.time()
+    t0 = time.perf_counter()
     best_hr, best_params, patience_left = -1.0, None, early_stop_patience
 
     for epoch in range(epochs):
         epoch_loss, n_rows = 0.0, 0
         for rows in batches(epoch):
-            params.zero_grads()
-            batch_loss = 0.0
-            for user, items, segments, targets in rows:
-                if not targets:
-                    continue
-                h, cache = forward(params, user, items, segments)
-                d_h = np.zeros_like(h)
-                user_loss = 0.0
-                for target in targets:
-                    user_loss += target_loss(params, h, d_h, *target)
-                backward(params, cache, d_h)
-                batch_loss += user_loss
-            params.scale_grads(1.0 / max(1, len(rows)))
+            epoch_loss += _batch_grads(params, rows, target_loss)
             for name in trainable:
                 adam_step(params[name], states[name])
-            epoch_loss += batch_loss
             n_rows += len(rows)
         mean_loss = epoch_loss / max(1, n_rows)
         if not np.isfinite(mean_loss):
@@ -155,7 +193,7 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
     if early_stop_patience > 0 and best_params is not None:
         params = best_params
         report.extra["best_valid_hr10"] = best_hr
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     report.param_norms = _param_norms(params)
     return params, report
 
@@ -163,13 +201,15 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
 def pretrain_row(dataset: SplitDataset, user: int, max_len: int, neg_count: int,
                  rng: np.random.Generator):
     """A pretraining row: the user's last max_len train items, all REAL, with
-    a target (t, next item, negatives drawn outside the user's full sequence)
-    at every position t but the last."""
+    targets (positions, next items, negatives) at every position t but the
+    last: item seq[t + 1] and neg_count items drawn outside the user's full
+    sequence, all of the row's negatives in one draw."""
     seq = dataset.sequences[user][-max_len:]
-    full = dataset.full_sequence(user)
-    return user, seq, [REAL] * len(seq), [
-        (t, int(seq[t + 1]), sample_negatives(full, dataset.catalog.n_items, neg_count, rng))
-        for t in range(len(seq) - 1)]
+    n = max(0, len(seq) - 1)
+    negs = sample_negatives(dataset.full_sequence(user), dataset.catalog.n_items,
+                            n * neg_count, rng)
+    return user, seq, [REAL] * len(seq), (
+        np.arange(n), np.asarray(seq[1:], dtype=np.int64), negs.reshape(n, neg_count))
 
 
 def pretrain(
@@ -265,6 +305,22 @@ def regeneration_epochs(total_epochs: int, every: int | None) -> list[int]:
     return list(range(every, total_epochs, every))
 
 
+def tune_row(user: int, items, segments, target: int, loss_positions: str):
+    """A tuning row: the (truncated) prompt-enhanced input with targets
+    (positions, items): `target` at the last position and, under
+    'all_real', each next real item at every real position but the last. An
+    empty input has no targets."""
+    positions, targets = [], []
+    if items:
+        if loss_positions == "all_real":
+            reals = [i for i, s in enumerate(segments) if s == REAL]
+            positions, targets = reals[:-1], [items[i] for i in reals[1:]]
+        positions.append(len(items) - 1)
+        targets.append(target)
+    return user, items, segments, (np.asarray(positions, dtype=np.intp),
+                                   np.asarray(targets, dtype=np.int64))
+
+
 def prompt_tune(
     dataset: SplitDataset,
     pretrained: ModelParams,
@@ -300,14 +356,7 @@ def prompt_tune(
                 for p in pes_list]
 
     def row(u):
-        items, segments = inputs[u]
-        if not items:
-            return u, items, segments, []
-        targets = []
-        if loss_positions == "all_real":
-            reals = [i for i, s in enumerate(segments) if s == REAL]
-            targets = [(reals[j], items[reals[j + 1]]) for j in range(len(reals) - 1)]
-        return u, items, segments, targets + [(len(items) - 1, int(dataset.valid_target[u]))]
+        return tune_row(u, *inputs[u], int(dataset.valid_target[u]), loss_positions)
 
     def batches(epoch):
         nonlocal inputs

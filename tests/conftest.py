@@ -11,6 +11,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from recgpt.checkpoint import MAGIC
 from recgpt.data import Catalog, SplitDataset
 from recgpt.model import HyperParams, ModelParams
+from recgpt.numerics import NumericsError
 
 # property tests replay the same examples on every run, keep no example
 # database and stay within the tier-1 time budget; hypothesis still caches the
@@ -122,3 +123,30 @@ def tiny_dataset(n_users=3, n_items=6, length=6, seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def grad_check(fn, inputs, h: float = 1e-5) -> float:
+    """Max relative error between fn's analytic gradients and central differences.
+
+    fn(inputs) must return (scalar value, [gradient array per input]) and be
+    evaluable in float64. Error per element: |a - n| / max(1e-8, |a| + |n|).
+    """
+    inputs = [np.array(x, dtype=np.float64) for x in inputs]
+    value, analytic = fn(inputs)
+    if not np.isfinite(value):
+        raise NumericsError("grad_check: non-finite function value")
+    max_err = 0.0
+    for k, x in enumerate(inputs):
+        flat = x.reshape(-1)
+        a_flat = np.asarray(analytic[k], dtype=np.float64).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = fn(inputs)
+            flat[i] = orig - h
+            down, _ = fn(inputs)
+            flat[i] = orig
+            num = (up - down) / (2.0 * h)
+            err = abs(a_flat[i] - num) / max(1e-8, abs(a_flat[i]) + abs(num))
+            max_err = max(max_err, err)
+    return max_err

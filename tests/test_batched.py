@@ -1,15 +1,24 @@
-"""Batched inference against the per-user path, bit for bit.
+"""Batched inference and training against the per-user path.
 
-The references here run the per-user `forward` directly, one row and one
-greedy step at a time, so they share no code with the bucketed, chunked
-last-position path they check.
+The inference references run the per-user `forward` directly, one row and
+one greedy step at a time, so they share no code with the bucketed, chunked
+last-position path they check, which must match them bit for bit. The
+training references run one per-user forward and backward per row and one
+loss call per target; stacked gradients differ from them only in the order
+of summation.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import recgpt.recall
+from recgpt.checkpoint import load
 from recgpt.data import truncate_last
 from recgpt.evaluation import (
     MODES,
@@ -25,12 +34,13 @@ from recgpt.model import (
     REAL,
     SCORER_OUTPUT_LAYER,
     SCORER_TIED_EMB,
+    backward,
     forward,
     last_hidden,
     rank_items,
     score_items,
 )
-from recgpt.numerics import NumericsError
+from recgpt.numerics import AdamState, NumericsError, adam_step, bce_pair_loss, cross_entropy
 from recgpt.recall import (
     CHUNK_POSITIONS,
     STEP1,
@@ -42,9 +52,19 @@ from recgpt.recall import (
     recall_rows,
     recall_two_step,
 )
-from recgpt.training import _valid_hr_at_10, generate_prompt_cache
+from recgpt.training import (
+    PromptEnhancedSequence,
+    _batch_grads,
+    _bce_target,
+    _ce_target,
+    _valid_hr_at_10,
+    generate_prompt_cache,
+    pretrain_row,
+    prompt_tune,
+    tune_row,
+)
 
-from conftest import make_dataset, tiny_params
+from conftest import make_dataset, tiny_hyper, tiny_params
 
 
 def ref_hidden(params, user, items, segments):
@@ -296,3 +316,179 @@ def test_early_stopping_hr_equals_the_per_user_path(scorer):
                    rank_items(score_items(params, ref_hidden(params, u, *row), scorer), 10)
                    for u, row in enumerate(inputs) if row[0])
         assert _valid_hr_at_10(ds, params, scorer, inputs) == hits / ds.n_users
+
+
+# ---------------------------------------------------------------------------
+# stacked training steps
+# ---------------------------------------------------------------------------
+
+def ref_bce(params, h, d_h, t, pos, negs):
+    """Pairwise BCE of one target."""
+    w_e = params["W_e"]
+    loss, d_pos, d_negs = bce_pair_loss(float(w_e.value[pos] @ h[t]), w_e.value[negs] @ h[t])
+    d_h[t] += d_pos * w_e.value[pos] + d_negs @ w_e.value[negs]
+    w_e.grad[pos] += d_pos * h[t]
+    np.add.at(w_e.grad, negs, np.outer(d_negs, h[t]))
+    return loss
+
+
+def ref_ce(params, h, d_h, pos, tgt):
+    """Full-catalog cross-entropy of one target."""
+    w_l = params["W_l"]
+    loss, d_logits = cross_entropy(w_l.value @ h[pos], tgt)
+    w_l.grad += np.outer(d_logits, h[pos])
+    d_h[pos] += w_l.value.T @ d_logits
+    return loss
+
+
+def ref_batch_grads(params, rows, target_loss):
+    """One per-user forward and backward per row, one loss call per target;
+    gradients averaged over the rows."""
+    params.zero_grads()
+    total = 0.0
+    for user, items, segments, targets in rows:
+        if not len(targets[0]):
+            continue
+        h, cache = forward(params, user, items, segments)
+        d_h = np.zeros_like(h)
+        for target in zip(*targets):
+            total += target_loss(params, h, d_h, *target)
+        backward(params, cache, d_h)
+    params.scale_grads(1.0 / len(rows))
+    return total
+
+
+def _grads(params):
+    return {name: params[name].grad.copy() for name in params.names()}
+
+
+@given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=9),
+       n_layers=st.integers(1, 2), n_heads=st.sampled_from([1, 2]),
+       stage=st.sampled_from(["pretrain", "last", "all_real"]),
+       trainable=st.sampled_from(["all", "head"]), seed=st.integers(0, 7))
+@example(lengths=[1], n_layers=1, n_heads=1, stage="last", trainable="head", seed=0)
+@example(lengths=[8, 1, 5, 5, 7, 1, 8, 2, 5], n_layers=2, n_heads=2, stage="pretrain",
+         trainable="all", seed=1)
+@example(lengths=[8, 1, 5, 5, 7, 1, 8, 2, 5], n_layers=2, n_heads=2, stage="all_real",
+         trainable="head", seed=2)
+def test_stacked_batch_gradients_equal_the_per_user_loop(lengths, n_layers, n_heads, stage,
+                                                         trainable, seed):
+    """Rows of mixed lengths, a lone row, length 1 and rows past max_len 5;
+    item ids repeat within and across rows, so scattered gradients add up.
+    With trainable = 'head', one tuning step also moves W_s and W_l as the
+    per-user gradients do, and nothing else."""
+    rng = np.random.default_rng(seed)
+    n_users, n_items = len(lengths), 16
+    params = _params(seed, n_users=n_users, n_items=n_items, max_len=5, dtype=np.float64,
+                     n_layers=n_layers, n_heads=n_heads)
+    seqs = [rng.integers(0, 10, size=L).tolist() for L in lengths]
+    ds = make_dataset(seqs, rng.integers(0, 10, size=n_users), rng.integers(0, 10, size=n_users),
+                      n_items)
+    if stage == "pretrain":
+        draw = np.random.default_rng(seed)
+        rows = [pretrain_row(ds, u, 5, 2, draw) for u in range(n_users)]
+        batched, ref = _bce_target, ref_bce
+    else:
+        prompts = [PromptEnhancedSequence(seq, rng.integers(0, 2, size=len(seq)).tolist())
+                   for seq in seqs]
+        inputs = [truncate_last(p.items, p.segments, 5) for p in prompts]
+        rows = [tune_row(u, *inputs[u], int(ds.valid_target[u]), stage) for u in range(n_users)]
+        batched, ref = _ce_target, ref_ce
+
+    loss = _batch_grads(params, rows, batched)
+    got = _grads(params)
+    expected_loss = ref_batch_grads(params, rows, ref)
+    assert abs(loss - expected_loss) <= 1e-12 * max(1.0, abs(expected_loss))
+    for name, grad in _grads(params).items():
+        assert np.max(np.abs(got[name] - grad), initial=0.0) <= 1e-12, name
+
+    if stage != "pretrain" and trainable == "head":
+        hyper = tiny_hyper(seed=seed, max_len=5, n_layers=n_layers, n_heads=n_heads,
+                           batch_size=n_users)
+        tuned, _ = prompt_tune(ds, params, prompts, hyper, epochs=1, loss_positions=stage,
+                               trainable="head")
+        start = params.copy()
+        start["W_s"].value[...] = 0.0
+        start["W_l"].value[...] = start["W_e"].value
+        ref_batch_grads(start, rows, ref)
+        for name in start.names():
+            if name in ("W_s", "W_l"):
+                adam_step(start[name], AdamState.for_param(start[name], lr=hyper.lr))
+                assert np.max(np.abs(tuned[name].value - start[name].value)) <= 1e-12, name
+            else:
+                assert np.array_equal(tuned[name].value, start[name].value), name
+
+
+def test_stacked_backward_matches_finite_differences():
+    """A B = 3 stack, with one user twice and repeated items, through two
+    layers of two heads: the stacked backward of sum(h * R) against central
+    differences of every weight the forward reads."""
+    params = _params(9, n_users=2, n_items=5, max_len=4, dtype=np.float64, d=4, n_layers=2,
+                     n_heads=2)
+    users = np.array([0, 1, 0])
+    items = np.array([[1, 1, 3, 0], [4, 2, 2, 4], [3, 0, 1, 1]])
+    segments = np.array([[REAL, PROMPT, REAL, REAL], [REAL, REAL, PROMPT, REAL],
+                         [PROMPT, REAL, REAL, PROMPT]])
+    R = np.random.default_rng(3).standard_normal((3, 4, 4))
+
+    def loss():
+        return float(np.sum(forward(params, users, items, segments)[0] * R))
+
+    params.zero_grads()
+    h, cache = forward(params, users, items, segments)
+    backward(params, cache, R)
+    step = 1e-6
+    # no FFN pre-activation within reach of a step: differences do not cross a ReLU kink
+    assert min(np.abs(block.a1).min() for block in cache.blocks) > 1e3 * step
+    for name in params.names():
+        if name == "W_l":
+            continue
+        value = params[name].value.reshape(-1)
+        numeric = np.empty_like(value)
+        for i in range(value.size):
+            orig = value[i]
+            value[i] = orig + step
+            up = loss()
+            value[i] = orig - step
+            down = loss()
+            value[i] = orig
+            numeric[i] = (up - down) / (2 * step)
+        analytic = params[name].grad.reshape(-1)
+        assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-8), name
+        assert np.any(analytic != 0.0), name
+
+
+def _blob_digests(threads: int, tmp_path: Path) -> dict[str, str]:
+    """Run preprocess, pretrain, gen-prompts and tune for one epoch each in a
+    fresh interpreter with OPENBLAS_NUM_THREADS = threads; returns each
+    checkpoint's blob SHA-256."""
+    data = tmp_path / "interactions.tsv"
+    with open(data, "w", encoding="utf-8") as fh:
+        for u in range(64):
+            for t in range(34):
+                fh.write(f"u{u}\ti{(u * 34 + 7 * t) % 2000}\t{t}\n")
+    out = tmp_path / f"threads{threads}"
+    cfg = tmp_path / f"threads{threads}.cfg"
+    cfg.write_text(f"data_path = {data}\nout_dir = {out}\nkcore_k = 1\nd = 64\n"
+                   "n_heads = 1\nmax_len = 30\nbatch_size = 32\npretrain_epochs = 1\n"
+                   "tune_epochs = 1\nearly_stop_patience = 0\nprompt_window = 1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                                        if p]))
+    script = ("import sys\nfrom recgpt.cli import main\n"
+              "for stage in ('preprocess', 'pretrain', 'gen-prompts', 'tune'):\n"
+              "    assert main([stage, '--config', sys.argv[1]]) == 0\n")
+    subprocess.run([sys.executable, "-c", script, str(cfg)], env=env, check=True, timeout=300,
+                   stdout=subprocess.DEVNULL)
+    [run] = [d for d in out.iterdir() if d.is_dir()]
+    names = ("dataset.ckpt", "pretrain.ckpt", "prompts_K1.ckpt", "tuned_K1.ckpt")
+    return {name: load(run / name)[1]["blob_sha256"] for name in names}
+
+
+def test_training_checkpoints_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Stacked training GEMMs run to TRAIN_CHUNK_POSITIONS rows at d = 64,
+    and tuning scores groups of 8 rows of 30 positions against a catalog of
+    2,000 items, past the sizes where OpenBLAS splits a GEMM across threads;
+    one and two threads must write the same checkpoint bytes."""
+    assert _blob_digests(1, tmp_path) == _blob_digests(2, tmp_path)

@@ -1,4 +1,5 @@
 """Config parsing and the end-to-end pipeline CLI."""
+import re
 from dataclasses import fields
 
 import pytest
@@ -252,6 +253,25 @@ def test_pipeline_deterministic_across_runs(pipeline, tmp_path):
     rerun = out2 / cfg.config_hash()[:12]
     for name in ("dataset.ckpt", "pretrain.ckpt", "tuned_K1.ckpt"):
         assert (run / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
+def test_training_stages_print_their_speed_outside_the_reports(tmp_path, capsys):
+    """pretrain and tune print wall time, user-epochs/s and, with early
+    stopping, the epoch kept; two runs still write identical reports."""
+    cfg_path = write_config(tmp_path, early_stop_patience=5)
+    cfg = parse_config(cfg_path)
+    for out in ("one", "two"):
+        assert main(["preprocess", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+        for stage, name in (("pretrain", "pretrain"), ("tune", "prompt_tune")):
+            capsys.readouterr()
+            assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert re.fullmatch(rf"{name}: 2 epochs in \d+\.\d{{3}} s, \d+\.\d user-epochs/s",
+                                lines[0]), lines
+            assert re.fullmatch(r"best epoch [01], best_valid_hr10 \d\.\d{4}", lines[1]), lines
+    runs = [tmp_path / out / cfg.config_hash()[:12] for out in ("one", "two")]
+    for name in ("pretrain_report.csv", "tune_K1_report.csv", "pretrain.ckpt", "tuned_K1.ckpt"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def _refuse(*args, **kwargs):

@@ -261,6 +261,18 @@ def test_sample_negatives_draws_only_the_items_left(case, count, seed, outside):
                                           np.random.default_rng(seed)).tolist()
 
 
+@given(case=_nearly_full_history(), count=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_one_draw_of_n_negatives_equals_n_draws_of_one(case, count, seed):
+    """A pretraining row draws all its negatives in one call; that must give
+    the items, and leave the generator in the state, of one call per target."""
+    vocab, _, history = case
+    one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_negatives(history, vocab, count, one)
+    expected = [sample_negatives(history, vocab, 1, each) for _ in range(count)]
+    assert got.tolist() == np.concatenate(expected or [np.empty(0, np.int64)]).tolist()
+    assert one.bit_generator.state == each.bit_generator.state
+
+
 def test_sample_negatives_ignores_ids_outside_the_catalog(rng):
     assert sample_negatives([0, 1, 9], 3, 1, rng).tolist() == [2]
     with pytest.raises(DataError):
@@ -315,8 +327,8 @@ def test_iter_batches_contract():
             assert items == ds.sequences[u][-3:]
             assert segments == [REAL] * len(items)
             full = set(ds.full_sequence(u))
-            assert [t for t, _, _ in targets] == list(range(len(items) - 1))
-            for t, target, negatives in targets:
+            assert [t for t, _, _ in zip(*targets)] == list(range(len(items) - 1))
+            for t, target, negatives in zip(*targets):
                 assert target == items[t + 1]
                 assert len(negatives) == 2
                 assert not (set(negatives.tolist()) & full)

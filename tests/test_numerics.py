@@ -14,13 +14,14 @@ from recgpt.numerics import (
     causal_mask,
     cross_entropy,
     embedding_backward,
-    grad_check,
     masked_softmax,
     matmul_backward,
     relu,
     relu_backward,
     sigmoid,
 )
+
+from conftest import grad_check
 
 
 # ---------------------------------------------------------------------------

@@ -91,18 +91,19 @@ def test_pretrain_row_keeps_the_last_max_len_items():
     ds = tiny_dataset(n_users=2, n_items=12, length=10, seed=14)
     user, items, segments, targets = pretrain_row(ds, 1, 4, 1, np.random.default_rng(0))
     assert (user, items, segments) == (1, ds.sequences[1][-4:], [REAL] * 4)
-    assert [(t, pos) for t, pos, _ in targets] == [(t, items[t + 1]) for t in range(3)]
+    assert [(t, pos) for t, pos, _ in zip(*targets)] == [(t, items[t + 1]) for t in range(3)]
 
 
 def test_both_stages_train_on_the_last_hyper_max_len_items(monkeypatch):
     """Train prefixes of 8 items under max_len 4: each stage cuts every row
-    it trains on to its last 4 items, as inference does."""
+    it trains on to its last 4 items, as inference does. Rows run as stacked
+    (B, L) calls, so the recorder counts the rows of each call."""
     ds = tiny_dataset(n_users=4, n_items=12, length=10, seed=13)
     hp = tiny_hyper(seed=13, max_len=4, prompt_window=1)
     lengths = []
 
     def recording(params, user, items, segments):
-        lengths.append(len(items))
+        lengths.extend([np.shape(items)[-1]] * len(np.atleast_2d(items)))
         return forward(params, user, items, segments)
 
     monkeypatch.setattr(recgpt.training, "forward", recording)
