@@ -1,6 +1,11 @@
 """Config parsing and the end-to-end pipeline CLI."""
+import os
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +277,35 @@ def test_training_stages_print_their_speed_outside_the_reports(tmp_path, capsys)
     runs = [tmp_path / out / cfg.config_hash()[:12] for out in ("one", "two")]
     for name in ("pretrain_report.csv", "tune_K1_report.csv", "pretrain.ckpt", "tuned_K1.ckpt"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_main_keeps_freed_activations_for_reuse():
+    """Once main has run, even for a stage that fails on its config, 20
+    stacked forwards of 10 rows of 50 positions at d = 64 page-fault less
+    than once per call: glibc's defaults return their 100-128 KiB
+    activations to the OS on free, and the calls fault about 4,600 pages in
+    again. A stray fault or two of the interpreter's own is allowed."""
+    script = (
+        "import resource\nimport numpy as np\n"
+        "from recgpt.cli import main\n"
+        "from recgpt.model import HyperParams, ModelParams, last_hidden\n"
+        "assert main(['pretrain', '--config', 'no-such.cfg']) == 2\n"
+        "params = ModelParams(10, 400, HyperParams(d=64, n_heads=1, max_len=50))\n"
+        "items = np.arange(500).reshape(10, 50) % 400\n"
+        "segments = np.zeros_like(items)\n"
+        "last_hidden(params, range(10), items, segments)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    last_hidden(params, range(10), items, segments)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                                        if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                          capture_output=True, text=True)
+    assert int(done.stdout) < 20
 
 
 def _refuse(*args, **kwargs):
