@@ -67,7 +67,7 @@ def load(path) -> tuple[dict[str, np.ndarray], dict]:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
     if len(raw) < 12 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a recgpt checkpoint")
     manifest_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])

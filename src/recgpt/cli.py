@@ -1,9 +1,9 @@
 """Pipeline CLI: preprocess -> pretrain -> gen-prompts -> tune -> eval/sweep.
 
-Each stage writes one artifact into a run directory keyed by the config hash
-and refuses to overwrite without --force. Downstream stages verify both the
-config hash and the recorded upstream blob hash, so stale or mixed artifacts
-fail loudly naming the mismatched stage.
+Each stage writes its outputs into a run directory keyed by the config hash
+and refuses to overwrite them without --force. The checkpoints, and the one
+loader that checks each against the run and against the checkpoint it was
+built from, are in recgpt.artifacts; this module is the pipeline.
 """
 from __future__ import annotations
 
@@ -13,23 +13,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import checkpoint
+from .artifacts import (DATASET, PRETRAINED, PROMPTS, TUNED, StageError, load_dataset,
+                        load_model, load_prompts, save_dataset, save_model, save_prompts)
 from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, parse_config
-from .data import Catalog, DataError, SplitDataset, build_splits, ingest_tsv, kcore_filter
+from .data import DataError, build_splits, ingest_tsv, kcore_filter
 from .evaluation import MODES, EvalError, evaluate, mn_grid, prompt_inputs, sweep_k, sweep_mn
-from .model import PROMPT, REAL, HyperParams, ModelParams
 from .numerics import NumericsError
-from .training import (
-    PromptEnhancedSequence,
-    TrainingError,
-    TrainReport,
-    generate_prompt_cache,
-    prompt_tune,
-    pretrain,
-)
+from .training import TrainingError, TrainReport, generate_prompt_cache, prompt_tune, pretrain
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -40,10 +31,6 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 # blocks up to this size come from the heap; twice it may stay there freed
 HEAP_BLOCK_BYTES = 4 << 20
-
-
-class StageError(RuntimeError):
-    """Artifact bookkeeping problem (missing/stale/preexisting artifact)."""
 
 
 def run_dir(cfg: RunConfig, out_override=None) -> Path:
@@ -59,197 +46,6 @@ def _outputs(cfg: RunConfig, args, *names: str) -> list[Path]:
         if path.exists() and not args.force:
             raise StageError(f"{path} already exists; pass --force to overwrite")
     return paths
-
-
-def _load_checked(path, cfg: RunConfig, stage: str, *names: str) -> tuple[dict, dict]:
-    """checkpoint.load, refusing an artifact made under another config or
-    missing one of the named tensors."""
-    tensors, manifest = checkpoint.load(path)
-    if manifest.get("config_hash") != cfg.config_hash():
-        raise StageError(
-            f"stage {stage}: artifact was produced under a different config "
-            f"(hash {manifest.get('config_hash', '?')[:12]} != {cfg.config_hash()[:12]})"
-        )
-    for name in names:
-        if name not in tensors:
-            raise CheckpointError(f"{path}: checkpoint missing tensor {name}")
-    return tensors, manifest
-
-
-def _is_int(v, low: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= low
-
-
-_STRINGS = ("a list of strings", lambda v: isinstance(v, list)
-            and all(isinstance(x, str) for x in v))
-_POSITIVE = ("a positive integer", lambda v: _is_int(v, 1))
-# manifest meta key -> (what its value must be, check)
-_META_TYPES = {
-    "users": _STRINGS,
-    "items": _STRINGS,
-    "n_users": _POSITIVE,
-    "n_items": _POSITIVE,
-    "K": ("a non-negative integer", lambda v: _is_int(v, 0)),
-    "upstream": ("a dict of strings", lambda v: isinstance(v, dict)
-                 and all(isinstance(x, str) for x in (*v, *v.values()))),
-}
-
-
-def _meta(path, manifest: dict, *keys: str) -> list:
-    """The named values of a manifest's meta, refusing one that is missing
-    or not of its key's type in _META_TYPES."""
-    meta = manifest.get("meta")
-    for key in keys:
-        if not isinstance(meta, dict) or key not in meta:
-            raise CheckpointError(f"{path}: manifest meta missing key {key!r}")
-        what, check = _META_TYPES[key]
-        if not check(meta[key]):
-            raise CheckpointError(f"{path}: manifest meta key {key!r} must be {what}, "
-                                  f"got {meta[key]!r:.40}")
-    return [meta[key] for key in keys]
-
-
-# ---------------------------------------------------------------------------
-# artifact serialization
-# ---------------------------------------------------------------------------
-
-def _pack(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged integer rows -> (flat values, offsets with row i at [o[i], o[i+1]))."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(r) for r in rows])
-    flat = (np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]) if rows
-            else np.zeros(0, dtype=np.int64))
-    return flat, offsets
-
-
-def _unpack(path, flat: np.ndarray, offsets: np.ndarray, n_rows: int, n_values: int,
-            what: str) -> list[list[int]]:
-    """Inverse of _pack for n_rows rows of ids in [0, n_values); raises
-    CheckpointError on offsets that do not start at 0, go down or do not end
-    at the flat length, and on any id out of range."""
-    if flat.ndim != 1 or flat.dtype.kind != "i" or (
-            flat.size and (flat.min() < 0 or flat.max() >= n_values)):
-        raise CheckpointError(f"{path}: {what} outside [0, {n_values})")
-    if (offsets.shape != (n_rows + 1,) or offsets[0] != 0 or np.any(np.diff(offsets) < 0)
-            or offsets[-1] != flat.shape[0]):
-        raise CheckpointError(f"{path}: offsets do not split {flat.shape[0]} {what} values "
-                              f"into {n_rows} rows")
-    bounds = offsets.tolist()
-    return [flat[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def save_dataset(path, dataset: SplitDataset, cfg: RunConfig) -> None:
-    seq_flat, offsets = _pack(dataset.sequences)
-    checkpoint.save(
-        path,
-        {
-            "seq_flat": seq_flat,
-            "seq_offsets": offsets,
-            "valid_target": dataset.valid_target.astype(np.int64),
-            "test_target": dataset.test_target.astype(np.int64),
-        },
-        stage="preprocess",
-        config_hash=cfg.config_hash(),
-        meta={"users": dataset.catalog.users, "items": dataset.catalog.items},
-    )
-
-
-def load_dataset(path, cfg: RunConfig) -> tuple[SplitDataset, dict]:
-    tensors, manifest = _load_checked(path, cfg, "preprocess", "seq_flat", "seq_offsets",
-                                      "valid_target", "test_target")
-    users, items = _meta(path, manifest, "users", "items")
-    catalog = Catalog(users=list(users), items=list(items))
-    sequences = _unpack(path, tensors["seq_flat"], tensors["seq_offsets"],
-                        catalog.n_users, catalog.n_items, "item id")
-    for name in ("valid_target", "test_target"):
-        _unpack(path, tensors[name], np.asarray([0, catalog.n_users]), 1,
-                catalog.n_items, name)
-    return SplitDataset(sequences, tensors["valid_target"], tensors["test_target"],
-                        catalog), manifest
-
-
-def save_model(path, params: ModelParams, stage: str, cfg: RunConfig,
-               upstream: dict | None = None, report: TrainReport | None = None) -> None:
-    meta = {
-        "n_users": params.n_users,
-        "n_items": params.n_items,
-        "hyper": vars(params.hyper),
-        "upstream": upstream or {},
-    }
-    if report is not None:
-        # wall time is deliberately excluded: checkpoints must be bit-identical
-        # across reruns of the same config
-        meta["report"] = {
-            "epochs": len(report.epoch_losses),
-            "final_loss": report.epoch_losses[-1] if report.epoch_losses else None,
-            "best_epoch": report.best_epoch,
-            "seed": report.seed,
-        }
-    checkpoint.save(path, params.tensors(), stage=stage,
-                    config_hash=cfg.config_hash(), meta=meta)
-
-
-def load_model(path, cfg: RunConfig, stage: str, hyper: HyperParams) -> tuple[ModelParams, dict]:
-    tensors, manifest = _load_checked(path, cfg, stage)
-    n_users, n_items = _meta(path, manifest, "n_users", "n_items")
-    params = ModelParams(n_users, n_items, hyper)
-    try:
-        params.load_tensors(tensors)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {exc.args[0]}") from exc
-    for p in params.parameters():
-        if not np.all(np.isfinite(p.value)):
-            raise CheckpointError(f"{path}: tensor {p.name} holds non-finite values")
-    return params, manifest
-
-
-def save_prompts(path, prompts: list[PromptEnhancedSequence], K: int,
-                 cfg: RunConfig, upstream: dict) -> None:
-    items, offsets = _pack([p.items for p in prompts])
-    segments, _ = _pack([p.segments for p in prompts])
-    checkpoint.save(path, {"items": items, "segments": segments, "offsets": offsets},
-                    stage="gen-prompts", config_hash=cfg.config_hash(),
-                    meta={"K": K, "n_users": len(prompts), "upstream": upstream})
-
-
-def load_prompts(path, cfg: RunConfig, dataset: SplitDataset,
-                 K: int) -> tuple[list[PromptEnhancedSequence], dict]:
-    """The prompt cache of the dataset's train prefixes at prompt window K.
-    Refused unless it has one row per user, every id is in the catalog, its
-    manifest K is K, and row u holds dataset.sequences[u] as its REAL items
-    in the layout law of generate_prompts."""
-    tensors, manifest = _load_checked(path, cfg, "gen-prompts", "items", "segments", "offsets")
-    n_rows, saved_k = _meta(path, manifest, "n_users", "K")
-    if n_rows != dataset.n_users or saved_k != K:
-        raise CheckpointError(f"{path}: prompts for {n_rows} users at K={saved_k}, "
-                              f"expected {dataset.n_users} users at K={K}")
-    items = _unpack(path, tensors["items"], tensors["offsets"], n_rows,
-                    dataset.catalog.n_items, "item id")
-    segments = _unpack(path, tensors["segments"], tensors["offsets"], n_rows, 2,
-                       "segment (REAL or PROMPT)")
-    prompts = [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)]
-    for u, (pes, seq) in enumerate(zip(prompts, dataset.sequences)):
-        layout = [REAL] + ([PROMPT] * K + [REAL]) * (len(seq) - 1) if seq else []
-        if pes.segments != layout or pes.real_items != seq:
-            raise CheckpointError(f"{path}: row {u} is not user {u}'s train prefix with "
-                                  f"{K} prompts before each real item after the first")
-    return prompts, manifest
-
-
-def _require(path: Path, stage: str) -> Path:
-    if not path.exists():
-        raise StageError(f"missing upstream artifact {path}; run `recgpt {stage}` first")
-    return path
-
-
-def _verify_upstream_hash(path, manifest: dict, key: str, expected: str, stage: str) -> None:
-    [upstream] = _meta(path, manifest, "upstream")
-    recorded = upstream.get(key)
-    if recorded != expected:
-        raise StageError(
-            f"stage {stage}: upstream {key} hash mismatch "
-            f"(recorded {str(recorded)[:12]}, found {expected[:12]}); rerun {key}"
-        )
 
 
 def _print_speed(report: TrainReport, n_users: int) -> None:
@@ -276,7 +72,7 @@ def _write_report(path: Path, report: TrainReport) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(cfg: RunConfig, args) -> int:
-    path, stats_path = _outputs(cfg, args, "dataset.ckpt", "stats.csv")
+    path, stats_path = _outputs(cfg, args, DATASET.name(), "stats.csv")
     records = ingest_tsv(cfg.data_path)
     if cfg.min_timestamp >= 0:
         records = [r for r in records if r.timestamp >= cfg.min_timestamp]
@@ -302,54 +98,16 @@ def cmd_preprocess(cfg: RunConfig, args) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig, args) -> int:
-    path, report_path = _outputs(cfg, args, "pretrain.ckpt", "pretrain_report.csv")
-    dataset, ds_manifest = load_dataset(_require(path.parent / "dataset.ckpt", "preprocess"), cfg)
+    path, report_path = _outputs(cfg, args, PRETRAINED.name(), "pretrain_report.csv")
+    dataset, ds_manifest = load_dataset(path.parent / DATASET.name(), cfg)
     params, report = pretrain(dataset, cfg.hyper(), cfg.pretrain_epochs,
                               early_stop_patience=cfg.early_stop_patience)
-    save_model(path, params, "pretrain", cfg,
-               upstream={"preprocess": ds_manifest["blob_sha256"]}, report=report)
+    save_model(path, params, "pretrain", cfg, ds_manifest, report)
     _write_report(report_path, report)
     _print_speed(report, dataset.n_users)
     print(f"pretrained {len(report.epoch_losses)} epochs, "
           f"final loss {report.epoch_losses[-1]:.4f}; wrote {path}")
     return 0
-
-
-def _k_value(cfg: RunConfig, args) -> int:
-    return cfg.prompt_window if args.k is None else args.k
-
-
-def _load_pretrained(cfg: RunConfig, d: Path, ds_manifest: dict,
-                     stage: str) -> tuple[ModelParams, dict]:
-    """pretrain.ckpt, refused unless it was trained on the run's dataset."""
-    path = _require(d / "pretrain.ckpt", "pretrain")
-    params, manifest = load_model(path, cfg, "pretrain", hyper=cfg.hyper())
-    _verify_upstream_hash(path, manifest, "preprocess", ds_manifest["blob_sha256"], stage)
-    return params, manifest
-
-
-def _load_tuned(cfg: RunConfig, d: Path, K: int, pre_manifest: dict, stage: str) -> ModelParams:
-    path = _require(d / f"tuned_K{K}.ckpt", f"tune --k {K}")
-    tuned, manifest = load_model(path, cfg, "tune", hyper=cfg.hyper())
-    _verify_upstream_hash(path, manifest, "pretrain", pre_manifest["blob_sha256"], stage)
-    return tuned
-
-
-def _saved_prompts(cfg: RunConfig, d: Path, dataset: SplitDataset, K: int,
-                   pre_manifest: dict, stage: str) -> list[PromptEnhancedSequence]:
-    """prompts_K{K}.ckpt, checked against the dataset and refused unless it
-    was generated from the run's pretrained model."""
-    path = _require(d / f"prompts_K{K}.ckpt", f"gen-prompts --k {K}")
-    prompts, manifest = load_prompts(path, cfg, dataset, K)
-    _verify_upstream_hash(path, manifest, "pretrain", pre_manifest["blob_sha256"], stage)
-    return prompts
-
-
-def _new_prompts(path: Path, dataset: SplitDataset, pre: ModelParams, K: int,
-                 cfg: RunConfig, pre_manifest: dict) -> list[PromptEnhancedSequence]:
-    prompts = generate_prompt_cache(dataset, pre, K)
-    save_prompts(path, prompts, K, cfg, upstream={"pretrain": pre_manifest["blob_sha256"]})
-    return prompts
 
 
 def _tune_options(cfg: RunConfig) -> dict:
@@ -359,31 +117,32 @@ def _tune_options(cfg: RunConfig) -> dict:
 
 
 def cmd_gen_prompts(cfg: RunConfig, args) -> int:
-    K = _k_value(cfg, args)
-    [path] = _outputs(cfg, args, f"prompts_K{K}.ckpt")
-    dataset, ds_manifest = load_dataset(_require(path.parent / "dataset.ckpt", "preprocess"), cfg)
-    params, pre_manifest = _load_pretrained(cfg, path.parent, ds_manifest, "gen-prompts")
-    _new_prompts(path, dataset, params, K, cfg, pre_manifest)
+    K = cfg.prompt_window if args.k is None else args.k
+    [path] = _outputs(cfg, args, PROMPTS.name(K))
+    dataset, ds_manifest = load_dataset(path.parent / DATASET.name(), cfg)
+    params, pre_manifest = load_model(path.parent / PRETRAINED.name(), cfg, "pretrain",
+                                      cfg.hyper(), ds_manifest)
+    save_prompts(path, generate_prompt_cache(dataset, params, K), K, cfg, pre_manifest)
     print(f"generated prompts for {dataset.n_users} users at K={K}; wrote {path}")
     return 0
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
-    K = _k_value(cfg, args)
-    path, report_path = _outputs(cfg, args, f"tuned_K{K}.ckpt", f"tune_K{K}_report.csv")
+    K = cfg.prompt_window if args.k is None else args.k
+    path, report_path = _outputs(cfg, args, TUNED.name(K), f"tune_K{K}_report.csv")
     d = path.parent
-    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pre, pre_manifest = _load_pretrained(cfg, d, ds_manifest, "tune")
-    hyper = replace(cfg.hyper(), prompt_window=K)
-    prompt_path = d / f"prompts_K{K}.ckpt"
+    dataset, ds_manifest = load_dataset(d / DATASET.name(), cfg)
+    pre, pre_manifest = load_model(d / PRETRAINED.name(), cfg, "pretrain", cfg.hyper(),
+                                   ds_manifest)
+    prompt_path = d / PROMPTS.name(K)
     if prompt_path.exists():
-        prompts = _saved_prompts(cfg, d, dataset, K, pre_manifest, "tune")
+        prompts, _ = load_prompts(prompt_path, cfg, dataset, K, pre_manifest)
     else:
-        prompts = _new_prompts(prompt_path, dataset, pre, K, cfg, pre_manifest)
-    tuned, report = prompt_tune(dataset, pre, prompts, hyper, cfg.tune_epochs,
-                                **_tune_options(cfg))
-    save_model(path, tuned, "tune", cfg,
-               upstream={"pretrain": pre_manifest["blob_sha256"]}, report=report)
+        prompts = generate_prompt_cache(dataset, pre, K)
+        save_prompts(prompt_path, prompts, K, cfg, pre_manifest)
+    tuned, report = prompt_tune(dataset, pre, prompts, replace(cfg.hyper(), prompt_window=K),
+                                cfg.tune_epochs, **_tune_options(cfg))
+    save_model(path, tuned, "tune", cfg, pre_manifest, report)
     _write_report(report_path, report)
     _print_speed(report, dataset.n_users)
     print(f"tuned {len(report.epoch_losses)} epochs at K={K}; wrote {path}")
@@ -395,29 +154,23 @@ def _mode_k(cfg: RunConfig, mode: str) -> int:
     return 0 if mode == "FINETUNE" else cfg.prompt_window
 
 
-def _load_for_eval(cfg: RunConfig, d: Path, dataset: SplitDataset, ds_manifest: dict,
-                   modes) -> tuple[ModelParams, dict, dict]:
-    """The pretrained model (every mode needs it, for scoring, prompts or the
-    upstream check) and, keyed by K, each tuned model a mode reads in MODES
-    and, for K > 0, the eval split's prompt-enhanced inputs, continued once
-    from the saved prompt cache and shared by every mode."""
-    pretrained, pre_manifest = _load_pretrained(cfg, d, ds_manifest, "eval")
-    ks = sorted({_mode_k(cfg, mode) for mode in modes if MODES[mode][0] == "tuned"})
-    tuned = {K: _load_tuned(cfg, d, K, pre_manifest, "eval") for K in ks}
-    prompts = {K: prompt_inputs(dataset, cfg.eval_split, pretrained,
-                                _saved_prompts(cfg, d, dataset, K, pre_manifest, "eval"), K)
-               for K in ks if K > 0}
-    return pretrained, tuned, prompts
-
-
 def cmd_eval(cfg: RunConfig, args) -> int:
     split = cfg.eval_split
     modes = cfg.modes()
     dumps = [f"recall_{mode}_{split}.csv" for mode in modes] if args.dump else []
     csv_path, *dump_paths = _outputs(cfg, args, f"eval_{split}.csv", *dumps)
     d = csv_path.parent
-    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pretrained, tuned, prompts = _load_for_eval(cfg, d, dataset, ds_manifest, modes)
+    dataset, ds_manifest = load_dataset(d / DATASET.name(), cfg)
+    pretrained, pre_manifest = load_model(d / PRETRAINED.name(), cfg, "pretrain", cfg.hyper(),
+                                          ds_manifest)
+    # keyed by K: each tuned model a mode reads and, for K > 0, the split's
+    # prompt-enhanced inputs, continued once from the saved cache for every mode
+    tuned, prompts = {}, {}
+    for K in sorted({_mode_k(cfg, mode) for mode in modes if MODES[mode][0] == "tuned"}):
+        tuned[K], _ = load_model(d / TUNED.name(K), cfg, "tune", cfg.hyper(), pre_manifest)
+        if K:
+            cache, _ = load_prompts(d / PROMPTS.name(K), cfg, dataset, K, pre_manifest)
+            prompts[K] = prompt_inputs(dataset, split, pretrained, cache, K)
     rows = ["mode,metric,k,value,n_users"]
     for i, mode in enumerate(modes):
         K = _mode_k(cfg, mode)
@@ -439,13 +192,15 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     [path] = _outputs(cfg, args, f"sweep_{cfg.sweep_axis}.csv")
     d = path.parent
-    dataset, ds_manifest = load_dataset(_require(d / "dataset.ckpt", "preprocess"), cfg)
-    pretrained, pre_manifest = _load_pretrained(cfg, d, ds_manifest, "sweep")
+    dataset, ds_manifest = load_dataset(d / DATASET.name(), cfg)
+    pretrained, pre_manifest = load_model(d / PRETRAINED.name(), cfg, "pretrain", cfg.hyper(),
+                                          ds_manifest)
     ks = cfg.ks()
     if cfg.sweep_axis == "m_n":
         K = cfg.prompt_window
-        tuned = _load_tuned(cfg, d, K, pre_manifest, "sweep")
-        prompts = _saved_prompts(cfg, d, dataset, K, pre_manifest, "sweep") if K else None
+        tuned, _ = load_model(d / TUNED.name(K), cfg, "tune", cfg.hyper(), pre_manifest)
+        prompts = (load_prompts(d / PROMPTS.name(K), cfg, dataset, K, pre_manifest)[0]
+                   if K else None)
         table = sweep_mn(dataset, cfg.eval_split, pretrained, tuned,
                          grid=mn_grid(max(ks)), ks=ks, prompt_k=K,
                          filter_history=cfg.filter_history, prompts=prompts)

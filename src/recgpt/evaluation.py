@@ -97,11 +97,11 @@ def prompt_inputs(dataset: SplitDataset, split: str, pretrained: ModelParams, pr
 
     Row u of `prompts` is continued by greedy prompts from the frozen
     pre-trained model over the split's real items it does not hold yet. From
-    the train-prefix cache (generate_prompt_cache, as saved in
-    prompts_K{K}.ckpt) that is nothing on the valid split and the validation
-    item on test; rows this function returned come back unchanged, so one
-    call per (split, K) serves every mode and sweep point. With prompts None,
-    the train-prefix cache is generated first.
+    the train-prefix cache (generate_prompt_cache, as gen-prompts saves it)
+    that is nothing on the valid split and the validation item on test; rows
+    this function returned come back unchanged, so one call per (split, K)
+    serves every mode and sweep point. With prompts None, the train-prefix
+    cache is generated first.
     """
     if prompts is None:
         prompts = generate_prompt_cache(dataset, pretrained, K)

@@ -189,6 +189,70 @@ def test_pipeline_emits_all_artifacts(pipeline):
         assert (run / name).exists(), name
 
 
+def test_each_checkpoint_holds_what_its_declaration_says(pipeline):
+    """Every declared checkpoint the stages wrote carries its stage tag, its
+    declared tensors in blob order (a model's are its parameters), its meta
+    keys and, in meta["upstream"], exactly the blob hash of its upstream."""
+    from recgpt.artifacts import ARTIFACTS
+    from recgpt.model import ModelParams
+
+    _, _, cfg, run = pipeline
+    model_tensors = ModelParams(1, 1, cfg.hyper()).names()
+    for art in ARTIFACTS.values():
+        for K in (0, 1) if "{K}" in art.file else (None,):
+            _, manifest = load(run / art.name(K))
+            meta, directory = manifest["meta"], manifest["tensors"]
+            assert manifest["stage"] == art.stage
+            in_blob_order = sorted(directory, key=lambda name: directory[name]["offset"])
+            assert in_blob_order == (list(art.tensors) or model_tensors), art.name(K)
+            assert set(art.meta) <= set(meta), art.name(K)
+            if art.upstream is None:
+                assert "upstream" not in meta
+            else:
+                _, upstream = load(run / ARTIFACTS[art.upstream].name())
+                assert meta["upstream"] == {art.upstream: upstream["blob_sha256"]}
+
+
+def test_loaders_keep_the_call_form_of_the_benchmark(pipeline):
+    from recgpt.cli import load_model
+
+    _, _, cfg, run = pipeline
+    dataset, _ = load_dataset(run / "dataset.ckpt", cfg)
+    for stage, name in (("pretrain", "pretrain.ckpt"), ("tune", "tuned_K1.ckpt")):
+        params, manifest = load_model(run / name, cfg, stage, hyper=cfg.hyper())
+        assert manifest["stage"] == stage
+        assert (params.n_users, params.n_items) == (dataset.n_users, dataset.catalog.n_items)
+
+
+def test_a_stale_checkpoint_is_refused_naming_the_command_that_rebuilds_it(tmp_path, capsys):
+    """New data under the same config path: each stage refuses the first
+    stale file it reads as stale (exit 2), before comparing its contents
+    with the new dataset, and names that file and the command that rebuilds
+    it."""
+    cfg_path = write_config(tmp_path, seed=19)
+    run = tmp_path / "runs" / parse_config(cfg_path).config_hash()[:12]
+
+    def stage(*cmd):
+        capsys.readouterr()
+        return main([*cmd, "--config", str(cfg_path)]), capsys.readouterr().err
+
+    for cmd in (["preprocess"], ["pretrain"], ["gen-prompts"]):
+        assert stage(*cmd)[0] == 0, cmd
+    write_toy_tsv(tmp_path / "toy.tsv", length=11)
+    assert stage("preprocess", "--force")[0] == 0
+    code, err = stage("gen-prompts", "--force")
+    assert code == 2, err
+    assert f"error: {run / 'pretrain.ckpt'}: upstream preprocess hash mismatch" in err
+    assert "`recgpt pretrain --force`" in err
+    assert stage("pretrain", "--force")[0] == 0
+    code, err = stage("tune")
+    assert code == 2, err
+    assert f"error: {run / 'prompts_K1.ckpt'}: upstream pretrain hash mismatch" in err
+    assert "`recgpt gen-prompts --k 1 --force`" in err
+    assert stage("gen-prompts", "--force")[0] == 0
+    assert stage("tune")[0] == 0
+
+
 def test_pipeline_artifacts_name_config_hash(pipeline):
     _, _, cfg, run = pipeline
     for name in ("dataset.ckpt", "pretrain.ckpt", "tuned_K1.ckpt"):
@@ -627,3 +691,23 @@ def test_stages_refuse_a_model_with_non_finite_weights(prompt_run, tmp_path, sta
     _resave(dest / name, _set("W_l", 3, float("nan")))
     assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 3
     assert f"{name}: tensor W_l holds non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,stage,command", [
+    ("dataset.ckpt", "pretrain", "recgpt preprocess --force"),
+    ("pretrain.ckpt", "gen-prompts", "recgpt pretrain --force"),
+    ("prompts_K1.ckpt", "tune", "recgpt gen-prompts --k 1 --force"),
+    ("tuned_K0.ckpt", "eval", "recgpt tune --k 0 --force"),
+])
+def test_a_checkpoint_of_another_config_is_refused_naming_its_rebuild(prompt_run, tmp_path, name,
+                                                                     stage, command, capsys):
+    def other_config(manifest):
+        manifest["config_hash"] = "0" * 64
+
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    rewrite_manifest(dest / name, other_config)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {dest / name}: made under another config" in err
+    assert err.rstrip().endswith(f"rebuild it with `{command}`")
