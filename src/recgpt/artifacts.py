@@ -190,9 +190,8 @@ def load_model(path, cfg: RunConfig, stage: str, hyper: HyperParams,
     """The model a training stage wrote, rebuilt with hyper; refused unless
     every tensor has its shape and holds finite values."""
     def decode(path, tensors, n_users, n_items):
-        params = ModelParams(n_users, n_items, hyper)
         try:
-            params.load_tensors(tensors)
+            params = ModelParams(n_users, n_items, hyper, tensors=tensors)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"{path}: {exc.args[0]}") from exc
         for p in params.parameters():

@@ -52,6 +52,11 @@ class RunConfig(HyperParams):
             self.modes()
         except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc)) from exc
+        if min(self.ks()) < 1:
+            raise ConfigError(f"eval_ks {self.eval_ks!r}: every k must be >= 1")
+        if self.recall_m < 1 or self.recall_n < 0:
+            raise ConfigError(f"recall_m = {self.recall_m} and recall_n = {self.recall_n} "
+                              "must be >= 1 and >= 0")
         if self.recall_m + self.recall_n != max(self.ks()):
             raise ConfigError(
                 f"recall_m + recall_n = {self.recall_m + self.recall_n} "

@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .model import REAL, SCORER_OUTPUT_LAYER, SCORER_TIED_EMB, ModelParams
-from .recall import RecallResult, dump_recall_csv, real_items, recall_grid, recall_rows
+from .recall import RecallResult, dump_recall_csv, real_items, recall_grid
 from .training import PromptEnhancedSequence, extend_prompt_rows, generate_prompt_cache, prompt_tune
 
 # mode -> (which params, two_step?, scorer)
@@ -65,6 +65,8 @@ class SweepTable:
 
 def _top(ranked, k: int) -> list[int]:
     items = np.asarray(ranked.items if isinstance(ranked, RecallResult) else ranked)
+    if k < 1:
+        raise EvalError(f"k={k} must be >= 1")
     if items.shape[0] < k:
         raise EvalError(f"ranking shorter than k={k}")
     return [int(i) for i in items[:k]]
@@ -201,7 +203,7 @@ def evaluate(
 
     users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k, max(ks),
                           filter_history)
-    results = recall_rows(params, users, rows, m, n, scorer, filter_history=filter_history)
+    [results] = recall_grid(params, users, rows, [(m, n)], scorer, filter_history)
     if dump_path is not None:
         dump_recall_csv(dump_path, results, catalog=dataset.catalog)
     return _report(dataset, split, mode, ks, users, results)

@@ -68,12 +68,15 @@ class ModelParams:
 
     def __init__(self, n_users: int, n_items: int, hyper: HyperParams,
                  rng: np.random.Generator | None = None, dtype=np.float32,
-                 init_std: float = 0.02):
+                 init_std: float = 0.02, tensors: dict[str, np.ndarray] | None = None):
+        """A fresh initialisation drawn from rng (seeded by hyper.seed when
+        None) or, given tensors, a copy of them cast to dtype, drawing
+        nothing: a missing tensor raises KeyError, a misshapen one ValueError."""
         self.n_users = n_users
         self.n_items = n_items
         self.hyper = hyper
         self.dtype = dtype
-        if rng is None:
+        if rng is None and tensors is None:
             rng = np.random.default_rng(hyper.seed)
 
         def normal(shape):
@@ -85,26 +88,37 @@ class ModelParams:
             scale = np.sqrt(2.0 / (shape[0] + shape[1]))
             return (rng.standard_normal(shape) * scale).astype(dtype)
 
+        def zeros(shape):
+            return np.zeros(shape, dtype=dtype)
+
         d, dff = hyper.d, hyper.d_ff
         self._params: dict[str, Parameter] = {}
 
-        def add(name, value):
+        def add(name, shape, init):
+            if tensors is None:
+                value = init(shape)
+            elif name not in tensors:
+                raise KeyError(f"checkpoint missing tensor {name}")
+            elif tensors[name].shape != shape:
+                raise ValueError(f"tensor {name}: shape {tensors[name].shape} != {shape}")
+            else:
+                value = tensors[name].astype(dtype)
             self._params[name] = Parameter(name, value)
 
-        add("W_u", normal((n_users, d)))
-        add("W_e", normal((n_items, d)))
-        add("W_p", normal((hyper.max_len, d)))
-        add("W_s", np.zeros((2, d), dtype=dtype))
+        add("W_u", (n_users, d), normal)
+        add("W_e", (n_items, d), normal)
+        add("W_p", (hyper.max_len, d), normal)
+        add("W_s", (2, d), zeros)
         for l in range(hyper.n_layers):
-            add(f"layer{l}.W_q", glorot((d, d)))
-            add(f"layer{l}.W_k", glorot((d, d)))
-            add(f"layer{l}.W_v", glorot((d, d)))
-            add(f"layer{l}.W_s", glorot((d, d)))
-            add(f"layer{l}.W_1", glorot((d, dff)))
-            add(f"layer{l}.b_1", np.zeros(dff, dtype=dtype))
-            add(f"layer{l}.W_2", glorot((dff, d)))
-            add(f"layer{l}.b_2", np.zeros(d, dtype=dtype))
-        add("W_l", self._params["W_e"].value.copy())
+            add(f"layer{l}.W_q", (d, d), glorot)
+            add(f"layer{l}.W_k", (d, d), glorot)
+            add(f"layer{l}.W_v", (d, d), glorot)
+            add(f"layer{l}.W_s", (d, d), glorot)
+            add(f"layer{l}.W_1", (d, dff), glorot)
+            add(f"layer{l}.b_1", (dff,), zeros)
+            add(f"layer{l}.W_2", (dff, d), glorot)
+            add(f"layer{l}.b_2", (d,), zeros)
+        add("W_l", (n_items, d), lambda shape: self._params["W_e"].value.copy())
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -146,17 +160,6 @@ class ModelParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: p.value for name, p in self._params.items()}
 
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        for name, p in self._params.items():
-            if name not in tensors:
-                raise KeyError(f"checkpoint missing tensor {name}")
-            if tensors[name].shape != p.value.shape:
-                raise ValueError(
-                    f"tensor {name}: shape {tensors[name].shape} != {p.value.shape}"
-                )
-            p.value = tensors[name].astype(self.dtype)
-            p.grad = np.zeros_like(p.value)
-
 
 @dataclass
 class BlockCache:
@@ -176,7 +179,6 @@ class ForwardCache:
     user: int | np.ndarray   # one user, or (B,) for a stacked batch
     items: np.ndarray
     segments: np.ndarray
-    h0: np.ndarray
     blocks: list
 
 
@@ -300,12 +302,11 @@ def forward(params: ModelParams, user, items, segments) -> tuple[np.ndarray, For
     items = np.asarray(items)
     segments = np.asarray(segments)
     h = embed_input(params, user, items, segments)
-    h0 = h
     blocks = []
     for l in range(params.hyper.n_layers):
         h, cache = decoder_block(params, l, h)
         blocks.append(cache)
-    return h, ForwardCache(user, items, segments, h0, blocks)
+    return h, ForwardCache(user, items, segments, blocks)
 
 
 def backward(params: ModelParams, cache: ForwardCache, d_h: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """Inference: one-step inner-product recall and two-step autoregressive recall,
-batched over rows of equal truncated length."""
+batched over rows of equal truncated length, from one ranking step (_ranked)
+and one merge (_merged)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -67,22 +68,20 @@ def greedy_steps(params: ModelParams, users, rows, scorer: str) -> tuple[np.ndar
     return hidden, [int(np.argmax(score_items(params, h, scorer))) for h in hidden]
 
 
-def _step(params: ModelParams, users, rows, chosen: list[RecallResult], k: int, scorer: str,
-          filter_history: bool, tag: str) -> list[RecallResult]:
-    """One recall step: chosen[b], row b's result so far (empty at step 1),
-    grown by the top-k by logit from the row's final hidden state, skipping
-    the items it holds and, with filter_history, the row's real items."""
+def _ranked(params: ModelParams, users, rows, k: int, scorer: str, filter_history: bool,
+            exclude=None) -> list[RecallResult]:
+    """Each row's top-k by logit from its final hidden state, tagged STEP1,
+    skipping exclude[b] when given and, with filter_history, the row's real
+    items. Each row is scored alone, so no rows x items logits array is held."""
     out = []
-    for (seq, segments), res, h in zip(rows, chosen, final_hidden(params, users, rows)):
+    for b, ((seq, segments), h) in enumerate(zip(rows, final_hidden(params, users, rows))):
         logits = score_items(params, h, scorer)
-        exclude = {int(i) for i in res.items}
+        skip = set() if exclude is None else {int(i) for i in exclude[b]}
         # history filtering excludes real interactions only, never prompt items
         if filter_history:
-            exclude |= real_items(seq, segments)
-        top = rank_items(logits, k, exclude=exclude)
-        out.append(RecallResult(res.user, np.concatenate([res.items, top]),
-                                np.concatenate([res.scores, logits[top]]),
-                                res.provenance + [tag] * len(top)))
+            skip |= real_items(seq, segments)
+        top = rank_items(logits, k, exclude=skip)
+        out.append(RecallResult(users[b], top, logits[top], [STEP1] * len(top)))
     return out
 
 
@@ -96,30 +95,9 @@ def _grown(rows, step1: list[RecallResult]) -> list[tuple[list, list]]:
             for (seq, segments), res in zip(rows, step1)]
 
 
-def _second_step(params: ModelParams, users, rows, step1: list[RecallResult], n: int,
-                 scorer: str, filter_history: bool) -> list[RecallResult]:
-    """Append each row's step-1 argmax as a PROMPT, re-run, and fill n more
-    slots from the second ranking, skipping items already selected."""
-    return _step(params, users, _grown(rows, step1), step1, n, scorer, filter_history, STEP2)
-
-
-def recall_rows(params: ModelParams, users, rows, m: int, n: int, scorer: str,
-                filter_history: bool = False) -> list[RecallResult]:
-    """Two-step recall for every (items, segments) row, one-step when n = 0;
-    result b equals recall_two_step(params, users[b], *rows[b], m, n, ...)."""
-    rows = [_tagged(seq, segments) for seq, segments in rows]
-    if m < 1 or n < 0:
-        raise ValueError("recall requires m >= 1 and n >= 0")
-    if not all(seq for seq, _ in rows):
-        raise ValueError("recall requires a non-empty sequence")
-    empty = [RecallResult(u, np.zeros(0, np.intp), np.zeros(0, params.dtype), []) for u in users]
-    step1 = _step(params, users, rows, empty, m, scorer, filter_history, STEP1)
-    return step1 if n == 0 else _second_step(params, users, rows, step1, n, scorer,
-                                             filter_history)
-
-
 def _merged(step1: RecallResult, step2: RecallResult, m: int, n: int) -> RecallResult:
-    """step1's first m items, then the first n of step2's not among them."""
+    """step1's first m items, then the first n of step2's not among them,
+    tagged STEP2: the one place where the two steps' lists combine."""
     head = set(step1.items[:m].tolist())
     fill = [i for i, item in enumerate(step2.items.tolist()) if item not in head][:n]
     return RecallResult(step1.user, np.concatenate([step1.items[:m], step2.items[fill]]),
@@ -129,8 +107,10 @@ def _merged(step1: RecallResult, step2: RecallResult, m: int, n: int) -> RecallR
 
 def recall_grid(params: ModelParams, users, rows, grid, scorer: str,
                 filter_history: bool = False) -> list[list[RecallResult]]:
-    """recall_rows(params, users, rows, m, n, ...) for every (m, n) of a grid
-    whose points all have m + n = k, from two rankings per row.
+    """Two-step recall of every (items, segments) row at every (m, n) point
+    of a grid whose points all have m + n = k, from two rankings per row;
+    result [p][b] equals recall_two_step(params, users[b], *rows[b], *grid[p],
+    ...), and a point with n = 0 is one-step recall.
 
     Step 1 ranks the top k once; its first m items are point (m, n)'s step 1.
     Every point with n > 0 appends the same step-1 argmax, so step 2 runs
@@ -143,12 +123,12 @@ def recall_grid(params: ModelParams, users, rows, grid, scorer: str,
     if any(m < 1 or n < 0 or m + n != k for m, n in grid):
         raise ValueError(f"recall grid points need m >= 1, n >= 0 and m + n = {k}")
     rows = [_tagged(seq, segments) for seq, segments in rows]
-    step1 = recall_rows(params, users, rows, k, 0, scorer, filter_history)
+    step1 = _ranked(params, users, rows, k, scorer, filter_history)
     step2 = step1
     if any(n for _, n in grid):
         # the PROMPT appended is no real item, so filter_history excludes the
-        # row's real items only; _merged tags the fill STEP2
-        step2 = recall_rows(params, users, _grown(rows, step1), k, 0, scorer, filter_history)
+        # row's real items only
+        step2 = _ranked(params, users, _grown(rows, step1), k, scorer, filter_history)
     return [[_merged(a, b, m, n) for a, b in zip(step1, step2)] for m, n in grid]
 
 
@@ -156,7 +136,7 @@ def recall_one_step(params: ModelParams, user: int, seq, k: int, scorer: str,
                     segments=None, filter_history: bool = False) -> RecallResult:
     """Score the whole catalog from the final hidden state; top-k by logit,
     ties broken by ascending item index."""
-    [res] = recall_rows(params, [user], [(seq, segments)], k, 0, scorer, filter_history)
+    [[res]] = recall_grid(params, [user], [(seq, segments)], [(k, 0)], scorer, filter_history)
     return res
 
 
@@ -171,8 +151,9 @@ def recall_two_step(params: ModelParams, user: int, seq, m: int, n: int, scorer:
                             filter_history=filter_history)
     if n == 0:
         return step1
-    return _second_step(params, [user], [_tagged(seq, segments)], [step1], n, scorer,
-                        filter_history)[0]
+    [step2] = _ranked(params, [user], _grown([_tagged(seq, segments)], [step1]), n, scorer,
+                      filter_history, exclude=[step1.items])
+    return _merged(step1, step2, m, n)
 
 
 def dump_recall_csv(path, results: list[RecallResult], catalog=None) -> None:

@@ -19,7 +19,7 @@ from .model import (
     forward,
 )
 from .numerics import AdamState, adam_step, bce_pair_loss, cross_entropy
-from .recall import greedy_steps, recall_rows
+from .recall import greedy_steps, recall_grid
 
 
 class TrainingError(RuntimeError):
@@ -80,7 +80,7 @@ def _valid_hr_at_10(dataset: SplitDataset, params: ModelParams, scorer: str,
     (items, segments) input, used for early stopping; an empty input is a
     miss."""
     users = [u for u, (items, _) in enumerate(inputs) if items]
-    results = recall_rows(params, users, [inputs[u] for u in users], 10, 0, scorer)
+    [results] = recall_grid(params, users, [inputs[u] for u in users], [(10, 0)], scorer)
     hits = sum(int(dataset.valid_target[res.user]) in res.items for res in results)
     return hits / max(1, dataset.n_users)
 

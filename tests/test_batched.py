@@ -49,7 +49,7 @@ from recgpt.recall import (
     dump_recall_csv,
     final_hidden,
     greedy_steps,
-    recall_rows,
+    recall_grid,
     recall_two_step,
 )
 from recgpt.training import (
@@ -196,7 +196,7 @@ def test_batched_recall_and_greedy_steps_equal_the_per_user_path(lengths, m, n, 
     rows = _rows(rng, lengths)
     users = [i % 4 for i in range(len(rows))]
 
-    results = recall_rows(params, users, rows, m, n, scorer, filter_history=filter_history)
+    [results] = recall_grid(params, users, rows, [(m, n)], scorer, filter_history=filter_history)
     assert [r.user for r in results] == users
     for user, (seq, segments), res in zip(users, rows, results):
         items, scores, prov = ref_recall(params, user, seq, segments, m, n, scorer,

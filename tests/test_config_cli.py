@@ -88,8 +88,14 @@ def test_bool_coercion(tmp_path):
 
 
 def test_recall_split_must_match_largest_k(tmp_path):
-    with pytest.raises(ConfigError, match="recall_m"):
-        parse_config(write_config(tmp_path, recall_m=5, recall_n=2))
+    # every k at least 1 and m >= 1, n >= 0, even where m + n is the largest k
+    for overrides, match in (({"recall_m": 5, "recall_n": 2}, "recall_m"),
+                             ({"recall_m": 0, "recall_n": 10}, "recall_m"),
+                             ({"recall_m": 11, "recall_n": -1}, "recall_n"),
+                             ({"eval_ks": "-1,10"}, "eval_ks"),
+                             ({"eval_ks": "0,10"}, "eval_ks")):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(write_config(tmp_path, **overrides))
 
 
 def test_config_requires_data_path():
@@ -222,6 +228,25 @@ def test_loaders_keep_the_call_form_of_the_benchmark(pipeline):
         params, manifest = load_model(run / name, cfg, stage, hyper=cfg.hyper())
         assert manifest["stage"] == stage
         assert (params.n_users, params.n_items) == (dataset.n_users, dataset.catalog.n_items)
+
+
+def test_load_model_builds_the_params_from_the_saved_tensors(pipeline, monkeypatch):
+    """Loading draws no random initialisation only to overwrite it."""
+    import numpy as np
+
+    from recgpt.cli import load_model
+
+    _, _, cfg, run = pipeline
+    saved, _ = load(run / "tuned_K1.ckpt")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model drew a random initialisation")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    params, _ = load_model(run / "tuned_K1.ckpt", cfg, "tune", hyper=cfg.hyper())
+    assert sorted(params.names()) == sorted(saved)
+    for p in params.parameters():
+        assert p.value.dtype == np.float32 and np.array_equal(p.value, saved[p.name])
+        assert p.grad.shape == p.value.shape and not p.grad.any()
 
 
 def test_a_stale_checkpoint_is_refused_naming_the_command_that_rebuilds_it(tmp_path, capsys):

@@ -63,6 +63,15 @@ def test_metrics_reject_short_rankings():
         ndcg_at_k(np.array([1, 2]), 1, 5)
 
 
+def test_metrics_reject_a_k_below_1():
+    # items[:-1] would score a list one short of the ranking under k = -1
+    for k in (0, -1):
+        with pytest.raises(EvalError, match=f"k={k}"):
+            hr_at_k(np.array([7, 3, 9]), 7, k)
+        with pytest.raises(EvalError, match=f"k={k}"):
+            ndcg_at_k(np.array([7, 3, 9]), 7, k)
+
+
 # ---------------------------------------------------------------------------
 # evaluation inputs and modes
 # ---------------------------------------------------------------------------

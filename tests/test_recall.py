@@ -22,7 +22,6 @@ from recgpt.recall import (
     greedy_steps,
     recall_grid,
     recall_one_step,
-    recall_rows,
     recall_two_step,
 )
 
@@ -52,7 +51,7 @@ def test_step_2_refuses_a_row_whose_step_1_ranked_nothing():
     with pytest.raises(ValueError, match="row 0: step 1 ranked no item"):
         recall_two_step(params, 0, seq, 1, 1, SCORER_OUTPUT_LAYER, filter_history=True)
     with pytest.raises(ValueError, match="row 1: step 1 ranked no item"):
-        recall_rows(params, [0, 1], [([0], None), (seq, None)], 1, 1, SCORER_OUTPUT_LAYER,
+        recall_grid(params, [0, 1], [([0], None), (seq, None)], [(1, 1)], SCORER_OUTPUT_LAYER,
                     filter_history=True)
     with pytest.raises(ValueError, match="row 0: step 1 ranked no item"):
         recall_grid(params, [0], [(seq, None)], [(2, 0), (1, 1)], SCORER_OUTPUT_LAYER,
@@ -166,7 +165,8 @@ _ROWS = st.lists(st.integers(1, 7).flatmap(lambda L: st.tuples(
 
 @given(rows=_ROWS, k=st.integers(1, 9), ties=st.booleans(), filter_history=st.booleans(),
        scorer=st.sampled_from([SCORER_TIED_EMB, SCORER_OUTPUT_LAYER]))
-def test_recall_grid_equals_recall_rows_at_every_point(rows, k, ties, filter_history, scorer):
+def test_recall_grid_equals_recall_two_step_at_every_point(rows, k, ties, filter_history,
+                                                           scorer):
     params = tiny_params(n_users=6, n_items=10, seed=4, max_len=5)
     params["W_s"].value[...] = np.random.default_rng(5).standard_normal((2, 8))
     if ties:
@@ -178,7 +178,10 @@ def test_recall_grid_equals_recall_rows_at_every_point(rows, k, ties, filter_his
     grid = mn_grid(k, min_m=1)
     for (m, n), got in zip(grid, recall_grid(params, users, rows, grid, scorer,
                                              filter_history)):
-        want = recall_rows(params, users, rows, m, n, scorer, filter_history)
+        want = [recall_two_step(params, u, seq, m, n, scorer, segments=segments,
+                                filter_history=filter_history)
+                for u, (seq, segments) in zip(users, rows)]
+        assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.user == b.user and a.provenance == b.provenance
             assert a.items.dtype == b.items.dtype and a.items.tolist() == b.items.tolist()
