@@ -111,9 +111,8 @@ def cmd_pretrain(cfg: RunConfig, args) -> int:
 
 
 def _tune_options(cfg: RunConfig) -> dict:
-    return {"loss_positions": cfg.loss_positions, "trainable": cfg.trainable,
-            "early_stop_patience": cfg.early_stop_patience,
-            "regen_every": cfg.regen_every or None}
+    return {"loss_positions": cfg.loss_positions,
+            "early_stop_patience": cfg.early_stop_patience}
 
 
 def cmd_gen_prompts(cfg: RunConfig, args) -> int:

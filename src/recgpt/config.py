@@ -5,7 +5,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .model import HyperParams
-from .training import LOSS_POSITIONS, TRAINABLE
+from .training import LOSS_POSITIONS
 
 
 class ConfigError(RuntimeError):
@@ -24,9 +24,7 @@ class RunConfig(HyperParams):
     tune_epochs: int = 50
     early_stop_patience: int = 10
     # prompts
-    regen_every: int = 0             # 0: generate prompts once, cached
     loss_positions: str = "last"     # or all_real
-    trainable: str = "all"           # or head (= W_s + W_l only)
     # recall / evaluation
     recall_m: int = 9
     recall_n: int = 1
@@ -41,12 +39,15 @@ class RunConfig(HyperParams):
     def validate(self) -> None:
         if not self.data_path:
             raise ConfigError("data_path is required")
-        for key, allowed in (("loss_positions", LOSS_POSITIONS), ("trainable", TRAINABLE),
+        for key, allowed in (("loss_positions", LOSS_POSITIONS),
                              ("eval_split", ("valid", "test")), ("sweep_axis", ("m_n", "K"))):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"bad {key} {getattr(self, key)!r}")
         if self.kcore_k < 1:
             raise ConfigError("kcore_k must be >= 1")
+        if self.pretrain_epochs < 1 or self.tune_epochs < 0:
+            raise ConfigError(f"pretrain_epochs = {self.pretrain_epochs} and tune_epochs = "
+                              f"{self.tune_epochs} must be >= 1 and >= 0")
         try:
             self.ks()
             self.modes()

@@ -53,10 +53,18 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_ff == 0:
-            self.d_ff = 4 * self.d
+        if self.d < 1 or self.n_heads < 1:
+            raise ValueError(f"d={self.d} and n_heads={self.n_heads} must be >= 1")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
+        if self.n_layers < 0 or self.d_ff < 0:
+            raise ValueError(f"n_layers={self.n_layers} and d_ff={self.d_ff} must be >= 0")
+        if self.d_ff == 0:
+            self.d_ff = 4 * self.d
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size={self.batch_size} must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr={self.lr} must be finite and > 0")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
         if self.prompt_window < 0:

@@ -31,9 +31,8 @@ class TrainingError(RuntimeError):
 # (recall.CHUNK_POSITIONS), which bounds peak memory
 TRAIN_CHUNK_POSITIONS = 256
 
-# prompt_tune's allowed loss_positions and trainable sets
+# prompt_tune's allowed loss_positions
 LOSS_POSITIONS = ("last", "all_real")
-TRAINABLE = ("all", "head")
 
 
 @dataclass
@@ -159,7 +158,7 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
            ) -> tuple[ModelParams, TrainReport]:
     """The loop both stages share.
 
-    batches(epoch) yields lists of rows; each batch takes one Adam step on
+    batches() yields one epoch's lists of rows; each batch takes one Adam step on
     `trainable` with the gradients _batch_grads gives. With
     early_stop_patience > 0, valid_hr(params) is checked after each epoch and
     the best copy is returned.
@@ -170,7 +169,7 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
 
     for epoch in range(epochs):
         epoch_loss, n_rows = 0.0, 0
-        for rows in batches(epoch):
+        for rows in batches():
             epoch_loss += _batch_grads(params, rows, target_loss)
             for name in trainable:
                 adam_step(params[name], states[name])
@@ -216,24 +215,23 @@ def pretrain(
     dataset: SplitDataset,
     hyper: HyperParams,
     epochs: int,
-    seed: int | None = None,
     early_stop_patience: int = 0,
 ) -> tuple[ModelParams, TrainReport]:
     """Stage 1: pairwise BCE over every next-item position of the train prefix.
 
     Per user position t, the loss is -log sig(h_t . e_pos) - sum log(1 - sig(h_t . e_neg))
     with uniform negatives outside the user's full sequence; batches average
-    per-user sums. Segment embeddings stay at zero and are not trained here.
-    Neither is W_l: it ends as a copy of the trained W_e, so prompts generated
-    from the pre-trained model score with the head pretraining trained.
+    per-user sums. The initialisation and the batch order and negatives each
+    draw from their own generator seeded by hyper.seed. Segment embeddings
+    stay at zero and are not trained here. Neither is W_l: it ends as a copy
+    of the trained W_e, so prompts generated from the pre-trained model score
+    with the head pretraining trained.
     """
-    if seed is None:
-        seed = hyper.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(hyper.seed)
     params = ModelParams(dataset.catalog.n_users, dataset.catalog.n_items, hyper,
-                         rng=np.random.default_rng(seed))
+                         rng=np.random.default_rng(hyper.seed))
 
-    def batches(epoch):
+    def batches():
         return iter_batches(dataset.n_users, hyper.batch_size, rng,
                             lambda u: pretrain_row(dataset, u, hyper.max_len, hyper.neg_count, rng))
 
@@ -241,7 +239,7 @@ def pretrain(
     params, report = _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
                             batches, _bce_target, epochs, hyper.lr, early_stop_patience,
                             lambda p: _valid_hr_at_10(dataset, p, SCORER_TIED_EMB, reals),
-                            TrainReport(stage="pretrain", seed=seed))
+                            TrainReport(stage="pretrain", seed=hyper.seed))
     params["W_l"].value[...] = params["W_e"].value
     report.param_norms["W_l"] = report.param_norms["W_e"]
     return params, report
@@ -297,14 +295,6 @@ def generate_prompt_cache(dataset: SplitDataset, params: ModelParams, K: int) ->
                               dataset.sequences, K)
 
 
-def regeneration_epochs(total_epochs: int, every: int | None) -> list[int]:
-    """Epochs at which prompts are regenerated. Default policy: never (the
-    single generation pass from the frozen pre-trained model is reused)."""
-    if not every or every <= 0:
-        return []
-    return list(range(every, total_epochs, every))
-
-
 def tune_row(user: int, items, segments, target: int, loss_positions: str):
     """A tuning row: the (truncated) prompt-enhanced input with targets
     (positions, items): `target` at the last position and, under
@@ -327,46 +317,36 @@ def prompt_tune(
     prompts: list[PromptEnhancedSequence],
     hyper: HyperParams,
     epochs: int,
-    seed: int | None = None,
     loss_positions: str = "last",
-    trainable: str = "all",
     early_stop_patience: int = 0,
-    regen_every: int | None = None,
 ) -> tuple[ModelParams, TrainReport]:
-    """Stage 2: cross-entropy on prompt-enhanced sequences.
+    """Stage 2: cross-entropy on prompt-enhanced sequences, training every
+    parameter.
 
-    W_s restarts at zero and W_l as a copy of W_e, so at zero epochs with K=0
-    the tuned model scores identically to the pre-trained one. The default
-    target is the held-out next item at the final real position;
-    loss_positions='all_real' additionally predicts each next real item.
+    prompts are the frozen pre-trained model's cached prompt-enhanced
+    sequences (generate_prompt_cache); each is cut to its last hyper.max_len
+    positions once, and every epoch reuses them. W_s restarts at zero and W_l as a copy of W_e, so at zero
+    epochs with K=0 the tuned model scores identically to the pre-trained
+    one. The default target is the held-out next item at the final real
+    position; loss_positions='all_real' additionally predicts each next real
+    item. Batches are drawn from a generator seeded by hyper.seed + 1.
     """
     if loss_positions not in LOSS_POSITIONS:
         raise TrainingError(f"unknown loss_positions {loss_positions!r}")
-    if trainable not in TRAINABLE:
-        raise TrainingError(f"unknown trainable set {trainable!r}")
-    if seed is None:
-        seed = hyper.seed
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(hyper.seed + 1)
     params = pretrained.copy()
     params["W_s"].value[...] = 0.0
     params["W_l"].value[...] = params["W_e"].value
-
-    def tune_inputs(pes_list):
-        return [tuple(truncate_last(p.items, p.segments, hyper.max_len))
-                for p in pes_list]
+    inputs = [tuple(truncate_last(p.items, p.segments, hyper.max_len)) for p in prompts]
 
     def row(u):
         return tune_row(u, *inputs[u], int(dataset.valid_target[u]), loss_positions)
 
-    def batches(epoch):
-        nonlocal inputs
-        if epoch in regen_at:
-            inputs = tune_inputs(generate_prompt_cache(dataset, params, hyper.prompt_window))
+    def batches():
         return iter_batches(dataset.n_users, hyper.batch_size, rng, row)
 
-    inputs = tune_inputs(prompts)
-    regen_at = set(regeneration_epochs(epochs, regen_every))
-    return _train(params, params.names() if trainable == "all" else ["W_s", "W_l"],
-                  batches, _ce_target, epochs, hyper.lr, early_stop_patience,
+    return _train(params, params.names(), batches, _ce_target, epochs, hyper.lr,
+                  early_stop_patience,
                   lambda p: _valid_hr_at_10(dataset, p, SCORER_OUTPUT_LAYER, inputs),
-                  TrainReport(stage="prompt_tune", seed=seed, extra={"K": hyper.prompt_window}))
+                  TrainReport(stage="prompt_tune", seed=hyper.seed,
+                              extra={"K": hyper.prompt_window}))

@@ -69,10 +69,14 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.hyper().d_ff == 32
 
 
-def test_unknown_key_is_hard_error(tmp_path):
-    path = write_config(tmp_path, learning_rate=0.1)
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(path)
+def test_unknown_key_is_hard_error(tmp_path, capsys):
+    # regen_every and trainable were keys once; a config naming them exits 2
+    for key, value in (("learning_rate", 0.1), ("regen_every", 0), ("trainable", "all")):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+        assert main(["preprocess", "--config", str(path)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_bad_value_types_rejected(tmp_path):
@@ -96,6 +100,28 @@ def test_recall_split_must_match_largest_k(tmp_path):
                              ({"eval_ks": "0,10"}, "eval_ks")):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_config(tmp_path, **overrides))
+
+
+def test_hyperparameters_that_would_crash_or_mistrain_are_refused(tmp_path, capsys):
+    # each of these raised a traceback in some stage or trained on silently
+    for overrides, match in (({"n_heads": 0}, "n_heads=0"),
+                             ({"d": 0}, "d=0"),
+                             ({"d": -8}, "d=-8"),
+                             ({"d_ff": -4}, "d_ff=-4"),
+                             ({"n_layers": -1}, "n_layers=-1"),
+                             ({"batch_size": 0}, "batch_size=0"),
+                             ({"batch_size": -3}, "batch_size=-3"),
+                             ({"lr": -1}, "lr=-1"),
+                             ({"lr": 0}, "lr=0"),
+                             ({"lr": "nan"}, "lr=nan"),
+                             ({"lr": "inf"}, "lr=inf"),
+                             ({"pretrain_epochs": 0}, "pretrain_epochs = 0"),
+                             ({"tune_epochs": -2}, "tune_epochs = -2")):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
+        assert main(["preprocess", "--config", str(path)]) == 2, overrides
+        assert match in capsys.readouterr().err
 
 
 def test_config_requires_data_path():
@@ -554,7 +580,7 @@ def test_k_sweep_tunes_with_the_options_of_tune(tmp_path, monkeypatch):
 
     monkeypatch.setattr(recgpt.cli, "prompt_tune", recorder("cli"))
     monkeypatch.setattr(recgpt.evaluation, "prompt_tune", recorder("evaluation"))
-    cfg_path = write_config(tmp_path, seed=13, regen_every=2, sweep_axis="K")
+    cfg_path = write_config(tmp_path, seed=13, loss_positions="all_real", sweep_axis="K")
     for cmd in (["preprocess"], ["pretrain"], ["tune"], ["sweep"]):
         assert main(cmd + ["--config", str(cfg_path)]) == 0, cmd
     assert len(calls["cli"]) == 1 and calls["evaluation"]

@@ -29,7 +29,6 @@ from recgpt.training import (
     pretrain,
     pretrain_row,
     prompt_tune,
-    regeneration_epochs,
 )
 
 from conftest import tiny_dataset, tiny_hyper, tiny_params
@@ -251,12 +250,6 @@ def test_extending_a_cached_row_equals_regenerating(prefix, new_items, K, max_le
                                                                prefix + new_items, K)
 
 
-def test_regeneration_policy():
-    assert regeneration_epochs(10, None) == []
-    assert regeneration_epochs(10, 0) == []
-    assert regeneration_epochs(7, 2) == [2, 4, 6]
-
-
 # ---------------------------------------------------------------------------
 # prompt tuning
 # ---------------------------------------------------------------------------
@@ -312,28 +305,12 @@ def test_tune_all_real_positions_mode():
     assert report.epoch_losses[0] > last_report.epoch_losses[0]
 
 
-def test_tune_head_only_freezes_backbone():
-    ds = tiny_dataset(n_users=4, n_items=8, length=6, seed=12)
-    pre, _ = pretrain(ds, tiny_hyper(seed=12), epochs=1)
-    prompts = generate_prompt_cache(ds, pre, 1)
-    tuned, _ = prompt_tune(ds, pre, prompts,
-                           tiny_hyper(seed=12, prompt_window=1), epochs=3,
-                           trainable="head")
-    for name in tuned.names():
-        if name in ("W_s", "W_l"):
-            continue
-        assert np.array_equal(tuned[name].value, pre[name].value), name
-    assert not np.array_equal(tuned["W_l"].value, tuned["W_e"].value)
-
-
 def test_tune_rejects_bad_options():
     ds = tiny_dataset()
     pre = tiny_params()
     prompts = generate_prompt_cache(ds, pre, 0)
     with pytest.raises(TrainingError):
         prompt_tune(ds, pre, prompts, tiny_hyper(), 1, loss_positions="bogus")
-    with pytest.raises(TrainingError):
-        prompt_tune(ds, pre, prompts, tiny_hyper(), 1, trainable="bogus")
 
 
 def test_prompt_sequence_alignment_is_enforced():
