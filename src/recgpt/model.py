@@ -8,8 +8,9 @@ by a two-layer ReLU FFN. No residuals, no layer norm, no dropout.
 
 Gradients are hand-written: forward() returns caches that backward() consumes.
 Both take one user's (L,) row or a stacked (B, L) batch of equal-length rows;
-training runs each equal-length group of a batch as one stacked forward and
-one stacked backward, whose weight gradients sum over every row and position.
+training right-pads a batch's rows to a few length buckets and runs each
+bucket as one stacked forward and one stacked backward, whose weight
+gradients sum over every row and position (padded positions add zeros).
 Inference reads only the final position and runs last_hidden(), a stacked
 batch forward without caches whose rows equal forward()'s bit for bit.
 """
@@ -63,6 +64,8 @@ class HyperParams:
             self.d_ff = 4 * self.d
         if self.batch_size < 1:
             raise ValueError(f"batch_size={self.batch_size} must be >= 1")
+        if self.neg_count < 1:
+            raise ValueError(f"neg_count={self.neg_count} must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr={self.lr} must be finite and > 0")
         if self.max_len < 1:

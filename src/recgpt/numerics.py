@@ -7,6 +7,7 @@ backward companion so the whole kernel set stays auditable op-by-op.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,15 @@ def matmul_backward(d_out, a, b):
     return d_out @ b.T, a.reshape(-1, a.shape[-1]).T @ d_out.reshape(-1, d_out.shape[-1])
 
 
+@functools.lru_cache(maxsize=None)
 def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
-    """0 on and below the diagonal, -inf strictly above (future positions)."""
+    """0 on and below the diagonal, -inf strictly above (future positions).
+
+    Built once per (length, dtype), lengths being at most max_len, and
+    shared by every caller, so it is read-only."""
     mask = np.zeros((length, length), dtype=dtype)
     mask[np.triu_indices(length, k=1)] = -np.inf
+    mask.flags.writeable = False
     return mask
 
 
@@ -152,13 +158,32 @@ class AdamState:
 
 
 def adam_step(param: Parameter, state: AdamState) -> None:
-    """One Adam update with bias correction, in place."""
+    """One Adam update with bias correction, in place:
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        value -= lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    with c1 = 1 - beta1 ** t and c2 = 1 - beta2 ** t. Every operation writes
+    through out= into m, v, the value or one of two scratch tensors, in the
+    formula's order and at its dtype, so the result is bit for bit that of
+    the formula evaluated with a new array per operation."""
     state.step_count += 1
-    g = param.grad
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step_count)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step_count)
-    param.value -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(
-        param.value.dtype, copy=False
-    )
+    g, m, v, value = param.grad, state.m, state.v, param.value
+    step, denom = np.empty_like(m), np.empty_like(m)
+    c1 = 1.0 - state.beta1 ** state.step_count
+    c2 = 1.0 - state.beta2 ** state.step_count
+    np.multiply(state.beta1, m, out=m)
+    np.multiply(1.0 - state.beta1, g, out=step)
+    np.add(m, step, out=m)
+    np.multiply(state.beta2, v, out=v)
+    np.multiply(1.0 - state.beta2, g, out=step)
+    np.multiply(step, g, out=step)
+    np.add(v, step, out=v)
+    np.divide(m, c1, out=step)
+    np.multiply(state.lr, step, out=step)
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, state.eps, out=denom)
+    np.divide(step, denom, out=step)
+    np.subtract(value, step, out=value)

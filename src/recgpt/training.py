@@ -31,6 +31,10 @@ class TrainingError(RuntimeError):
 # (recall.CHUNK_POSITIONS), which bounds peak memory
 TRAIN_CHUNK_POSITIONS = 256
 
+# training rows are right-padded to their length rounded up to a multiple of
+# this, so rows of nearby lengths share one stacked step
+BUCKET_WIDTH = 8
+
 # prompt_tune's allowed loss_positions
 LOSS_POSITIONS = ("last", "all_real")
 
@@ -119,12 +123,21 @@ def _ce_target(params: ModelParams, h: np.ndarray, d_h: np.ndarray, rows: np.nda
     return float(loss.sum())
 
 
-def _group_step(params: ModelParams, rows, target_loss) -> float:
-    """One stacked forward, loss and backward over equal-length rows; adds
-    their gradients to params and returns their summed loss. Its
-    activations are freed on return, before the next group's forward."""
+def _group_step(params: ModelParams, rows, length: int, target_loss) -> float:
+    """One stacked forward, loss and backward over rows right-padded to
+    `length` positions with item 0 and segment REAL; adds their gradients to
+    params and returns their summed loss. Under the causal mask no real
+    position attends to a later padded one, and padded positions carry no
+    target, so their gradient is exactly zero: the sums equal those of the
+    unpadded rows up to summation order. Its activations are freed on
+    return, before the next group's forward."""
     users, items, segments, targets = zip(*rows)
-    h, cache = forward(params, np.asarray(users), np.asarray(items), np.asarray(segments))
+    padded_items = np.zeros((len(rows), length), dtype=np.int64)
+    padded_segments = np.full((len(rows), length), REAL, dtype=np.int64)
+    for b, (its, segs) in enumerate(zip(items, segments)):
+        padded_items[b, :len(its)] = its
+        padded_segments[b, :len(segs)] = segs
+    h, cache = forward(params, np.asarray(users), padded_items, padded_segments)
     d_h = np.zeros_like(h)
     row_of = np.repeat(np.arange(len(rows)), [len(t[0]) for t in targets])
     loss = target_loss(params, h, d_h, row_of, *map(np.concatenate, zip(*targets)))
@@ -138,17 +151,20 @@ def _batch_grads(params: ModelParams, rows, target_loss) -> float:
 
     rows are (user, items, segments, targets), where targets is a tuple of
     equal-length index arrays, the first of them the positions the targets
-    are read at; a row without targets is skipped. The rows of each length
-    run as stacked groups of at most TRAIN_CHUNK_POSITIONS positions
-    (data.length_groups): one forward, then
-    target_loss(params, h, d_h, rows, *targets), which adds every target's
-    loss gradient to d_h and to the head it scores with (rows maps each
-    target to its row of the group), then one backward."""
+    are read at; a row without targets is skipped. Each row is padded to its
+    length bucket, the length rounded up to a multiple of BUCKET_WIDTH and
+    capped at max_len, and the rows of each bucket run as stacked groups of
+    at most TRAIN_CHUNK_POSITIONS padded positions (data.length_groups): one
+    forward, then target_loss(params, h, d_h, rows, *targets), which adds
+    every target's loss gradient to d_h and to the head it scores with (rows
+    maps each target to its row of the group), then one backward."""
     params.zero_grads()
     kept = [row for row in rows if len(row[3][0])]
+    buckets = [min(-(-len(row[1]) // BUCKET_WIDTH) * BUCKET_WIDTH, params.hyper.max_len)
+               for row in kept]
     loss = 0.0
-    for group in length_groups([len(row[1]) for row in kept], TRAIN_CHUNK_POSITIONS):
-        loss += _group_step(params, [kept[i] for i in group], target_loss)
+    for group in length_groups(buckets, TRAIN_CHUNK_POSITIONS):
+        loss += _group_step(params, [kept[i] for i in group], buckets[group[0]], target_loss)
     params.scale_grads(1.0 / max(1, len(rows)))
     return loss
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from recgpt.recall import (
     recall_two_step,
 )
 from recgpt.training import (
+    BUCKET_WIDTH,
     PromptEnhancedSequence,
     _batch_grads,
     _bce_target,
@@ -412,6 +414,53 @@ def test_stacked_batch_gradients_equal_the_per_user_loop(lengths, n_layers, n_he
             assert np.max(np.abs(tuned[name].value - start[name].value)) <= 1e-12, name
 
 
+@given(lengths=st.lists(st.integers(1, 20), max_size=9), n_layers=st.integers(1, 2),
+       n_heads=st.sampled_from([1, 2]), stage=st.sampled_from(["pretrain", "last", "all_real"]),
+       seed=st.integers(0, 7))
+@example(lengths=list(range(1, 21)), n_layers=2, n_heads=2, stage="pretrain", seed=3)
+@example(lengths=list(range(1, 21)), n_layers=1, n_heads=2, stage="all_real", seed=4)
+def test_padded_length_buckets_give_the_per_user_gradients(lengths, n_layers, n_heads, stage,
+                                                           seed):
+    """At max_len 20, rows of lengths 3, 9 and 19 always join the drawn
+    ones: they pad inside the first bucket, into the next one and up to the
+    cap. Every stacked forward must see exactly the bucket lengths, more
+    positions than the rows hold, and the gradients of the per-user loop."""
+    rng = np.random.default_rng(seed)
+    lengths = lengths + [3, 9, 19]
+    n_users, n_items, max_len = len(lengths), 16, 20
+    params = _params(seed, n_users=n_users, n_items=n_items, max_len=max_len, dtype=np.float64,
+                     n_layers=n_layers, n_heads=n_heads)
+    seqs = [rng.integers(0, 10, size=L).tolist() for L in lengths]
+    ds = make_dataset(seqs, rng.integers(0, 10, size=n_users), rng.integers(0, 10, size=n_users),
+                      n_items)
+    if stage == "pretrain":
+        rows = [pretrain_row(ds, u, max_len, 2, np.random.default_rng(seed)) for u in range(n_users)]
+        batched, ref = _bce_target, ref_bce
+    else:
+        rows = [tune_row(u, seq, rng.integers(0, 2, size=len(seq)).tolist(),
+                         int(ds.valid_target[u]), stage) for u, seq in enumerate(seqs)]
+        batched, ref = _ce_target, ref_ce
+
+    shapes = []
+
+    def spy(params, users, items, segments):
+        shapes.append(np.shape(items))
+        return forward(params, users, items, segments)
+
+    with mock.patch("recgpt.training.forward", spy):
+        loss = _batch_grads(params, rows, batched)
+    got = _grads(params)
+    real = [len(items) for _, items, _, targets in rows if len(targets[0])]
+    buckets = [min(-(-L // BUCKET_WIDTH) * BUCKET_WIDTH, max_len) for L in real]
+    assert sorted(L for B, L in shapes for _ in range(B)) == sorted(buckets)
+    assert sum(B * L for B, L in shapes) > sum(real)
+
+    expected_loss = ref_batch_grads(params, rows, ref)
+    assert abs(loss - expected_loss) <= 1e-12 * max(1.0, abs(expected_loss))
+    for name, grad in _grads(params).items():
+        assert np.max(np.abs(got[name] - grad), initial=0.0) <= 1e-12, name
+
+
 def test_stacked_backward_matches_finite_differences():
     """A B = 3 stack, with one user twice and repeated items, through two
     layers of two heads: the stacked backward of sum(h * R) against central
@@ -457,9 +506,13 @@ def _blob_digests(threads: int, tmp_path: Path) -> dict[str, str]:
     checkpoint's blob SHA-256."""
     data = tmp_path / "interactions.tsv"
     with open(data, "w", encoding="utf-8") as fh:
-        for u in range(64):
-            for t in range(34):
-                fh.write(f"u{u}\ti{(u * 34 + 7 * t) % 2000}\t{t}\n")
+        n = 0
+        for u in range(100):
+            # 6 to 34 interactions, so train prefixes of 4 to 32 items fill
+            # every length bucket up to max_len, padded; 1,980 distinct items
+            for t in range(6 + 11 * u % 29):
+                fh.write(f"u{u}\ti{n}\t{t}\n")
+                n += 1
     out = tmp_path / f"threads{threads}"
     cfg = tmp_path / f"threads{threads}.cfg"
     cfg.write_text(f"data_path = {data}\nout_dir = {out}\nkcore_k = 1\nd = 64\n"
@@ -480,8 +533,9 @@ def _blob_digests(threads: int, tmp_path: Path) -> dict[str, str]:
 
 
 def test_training_checkpoints_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """Stacked training GEMMs run to TRAIN_CHUNK_POSITIONS rows at d = 64,
-    and tuning scores groups of 8 rows of 30 positions against a catalog of
-    2,000 items, past the sizes where OpenBLAS splits a GEMM across threads;
-    one and two threads must write the same checkpoint bytes."""
+    """Stacked training GEMMs run to TRAIN_CHUNK_POSITIONS padded positions
+    at d = 64, in every length bucket from 8 to max_len 30, and tuning
+    scores groups of up to 8 rows of 30 positions against a catalog of
+    1,980 items, past the sizes where OpenBLAS splits a GEMM across
+    threads; one and two threads must write the same checkpoint bytes."""
     assert _blob_digests(1, tmp_path) == _blob_digests(2, tmp_path)

@@ -111,6 +111,8 @@ def test_hyperparameters_that_would_crash_or_mistrain_are_refused(tmp_path, caps
                              ({"n_layers": -1}, "n_layers=-1"),
                              ({"batch_size": 0}, "batch_size=0"),
                              ({"batch_size": -3}, "batch_size=-3"),
+                             ({"neg_count": 0}, "neg_count=0"),
+                             ({"neg_count": -1}, "neg_count=-1"),
                              ({"lr": -1}, "lr=-1"),
                              ({"lr": 0}, "lr=0"),
                              ({"lr": "nan"}, "lr=nan"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recgpt.numerics import (
     AdamState,
@@ -82,6 +84,21 @@ def test_masked_softmax_properties_100_instances(rng):
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out[np.triu_indices(n, k=1)] == 0.0)
         assert np.allclose(out, softmax_oracle(logits, mask), rtol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_mask_is_built_once_read_only_and_equals_a_fresh_build(dtype):
+    for n in (1, 2, 5, 50):
+        fresh = np.zeros((n, n), dtype=dtype)
+        fresh[np.triu_indices(n, k=1)] = -np.inf
+        mask = causal_mask(n, dtype=dtype)
+        assert mask.dtype == dtype and np.array_equal(mask, fresh)
+        assert causal_mask(n, dtype=dtype) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[-1, 0] = -np.inf
+        with pytest.raises(ValueError, match="read-only"):
+            mask += 1.0
+        assert np.array_equal(causal_mask(n, dtype=dtype), fresh)
 
 
 def test_masked_softmax_all_masked_row_raises():
@@ -236,6 +253,43 @@ def test_adam_trajectory_matches_scalar_reference():
         p.grad[...] = 2.0 * p.value
         adam_step(p, state)
         assert math.isclose(float(p.value[0]), trajectory[step], rel_tol=1e-12)
+
+
+def allocating_adam_step(param, state):
+    """Adam as a textbook formula, one new array per operation: the
+    reference the in-place adam_step must match bit for bit."""
+    state.step_count += 1
+    g = param.grad
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    m_hat = state.m / (1.0 - state.beta1 ** state.step_count)
+    v_hat = state.v / (1.0 - state.beta2 ** state.step_count)
+    param.value -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(
+        param.value.dtype, copy=False
+    )
+
+
+@given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       lr=st.floats(1e-5, 1.0), steps=st.integers(20, 40), seed=st.integers(0, 2 ** 16))
+def test_in_place_adam_is_bit_identical_to_the_allocating_formula(shape, dtype, lr, steps, seed):
+    """Gradients over eight orders of magnitude, with exact zeros; value, m
+    and v are compared bytewise after every step."""
+    rng = np.random.default_rng(seed)
+    value = rng.standard_normal(shape).astype(dtype)
+    fast, slow = Parameter("w", value.copy()), Parameter("w", value.copy())
+    fast_state, slow_state = AdamState.for_param(fast, lr=lr), AdamState.for_param(slow, lr=lr)
+    for _ in range(steps):
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 3, size=shape)
+        g[rng.random(shape) < 0.2] = 0.0
+        fast.grad[...] = g
+        slow.grad[...] = g
+        adam_step(fast, fast_state)
+        allocating_adam_step(slow, slow_state)
+        for a, b in ((fast.value, slow.value), (fast_state.m, slow_state.m),
+                     (fast_state.v, slow_state.v)):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+    assert fast_state.step_count == slow_state.step_count == steps
 
 
 # ---------------------------------------------------------------------------
