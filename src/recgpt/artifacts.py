@@ -181,7 +181,6 @@ def save_model(path, params: ModelParams, stage: str, cfg: RunConfig, upstream: 
                "epochs": len(report.epoch_losses),
                "final_loss": report.epoch_losses[-1] if report.epoch_losses else None,
                "best_epoch": report.best_epoch,
-               "seed": report.seed,
            })
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .artifacts import (DATASET, PRETRAINED, PROMPTS, TUNED, StageError, load_dataset,
@@ -55,9 +54,8 @@ def _print_speed(report: TrainReport, n_users: int) -> None:
     epochs = len(report.epoch_losses)
     print(f"{report.stage}: {epochs} epochs in {report.wall_time:.3f} s, "
           f"{n_users * epochs / max(report.wall_time, 1e-9):.1f} user-epochs/s")
-    if "best_valid_hr10" in report.extra:
-        print(f"best epoch {report.best_epoch}, "
-              f"best_valid_hr10 {report.extra['best_valid_hr10']:.4f}")
+    if report.best_valid_hr10 is not None:
+        print(f"best epoch {report.best_epoch}, best_valid_hr10 {report.best_valid_hr10:.4f}")
 
 
 def _write_report(path: Path, report: TrainReport) -> None:
@@ -139,8 +137,8 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     else:
         prompts = generate_prompt_cache(dataset, pre, K)
         save_prompts(prompt_path, prompts, K, cfg, pre_manifest)
-    tuned, report = prompt_tune(dataset, pre, prompts, replace(cfg.hyper(), prompt_window=K),
-                                cfg.tune_epochs, **_tune_options(cfg))
+    tuned, report = prompt_tune(dataset, pre, prompts, cfg.hyper(), cfg.tune_epochs,
+                                **_tune_options(cfg))
     save_model(path, tuned, "tune", cfg, pre_manifest, report)
     _write_report(report_path, report)
     _print_speed(report, dataset.n_users)

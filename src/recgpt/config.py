@@ -24,6 +24,7 @@ class RunConfig(HyperParams):
     tune_epochs: int = 50
     early_stop_patience: int = 10
     # prompts
+    prompt_window: int = 1
     loss_positions: str = "last"     # or all_real
     # recall / evaluation
     recall_m: int = 9
@@ -45,6 +46,8 @@ class RunConfig(HyperParams):
                 raise ConfigError(f"bad {key} {getattr(self, key)!r}")
         if self.kcore_k < 1:
             raise ConfigError("kcore_k must be >= 1")
+        if self.prompt_window < 0:
+            raise ConfigError(f"prompt_window = {self.prompt_window} must be >= 0")
         if self.pretrain_epochs < 1 or self.tune_epochs < 0:
             raise ConfigError(f"pretrain_epochs = {self.pretrain_epochs} and tune_epochs = "
                               f"{self.tune_epochs} must be >= 1 and >= 0")
@@ -53,8 +56,9 @@ class RunConfig(HyperParams):
             self.modes()
         except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc)) from exc
-        if min(self.ks()) < 1:
-            raise ConfigError(f"eval_ks {self.eval_ks!r}: every k must be >= 1")
+        if min(self.ks()) < 1 or len(set(self.ks())) < len(self.ks()):
+            raise ConfigError(f"eval_ks {self.eval_ks!r}: every k must be >= 1 and "
+                              "appear once")
         if self.recall_m < 1 or self.recall_n < 0:
             raise ConfigError(f"recall_m = {self.recall_m} and recall_n = {self.recall_n} "
                               "must be >= 1 and >= 0")
@@ -70,9 +74,11 @@ class RunConfig(HyperParams):
     def modes(self) -> list[str]:
         from .evaluation import MODES
         modes = [m.strip().upper() for m in self.eval_modes.split(",") if m.strip()]
-        for m in modes:
+        for i, m in enumerate(modes):
             if m not in MODES:
                 raise ConfigError(f"unknown eval mode {m!r}")
+            if m in modes[:i]:
+                raise ConfigError(f"eval mode {m!r} is repeated")
         return modes
 
     def hyper(self) -> HyperParams:
@@ -107,7 +113,7 @@ def parse_config(path) -> RunConfig:
     built once from every parsed key, so HyperParams' checks and its d_ff
     default see the final values."""
     known = {f.name for f in fields(RunConfig)}
-    values = {}
+    values, lines = {}, {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -123,7 +129,10 @@ def parse_config(path) -> RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in known:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, raw)
+            if key in lines:
+                raise ConfigError(f"{path}: line {lineno}: key {key!r} repeats line "
+                                  f"{lines[key]}")
+            values[key], lines[key] = _coerce(key, raw), lineno
     try:
         cfg = RunConfig(**values)
     except ValueError as exc:

@@ -1,7 +1,7 @@
 """HR@k / NDCG@k over the whole catalog, mode-based evaluation, and sweeps."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class MetricsReport:
 
 @dataclass
 class SweepTable:
-    axis: str
     points: list
     values: dict = field(default_factory=dict)    # (metric, k) -> list aligned with points
 
@@ -148,7 +147,9 @@ def _inputs(dataset: SplitDataset, split: str, which: str, pretrained: ModelPara
 
 def _report(dataset: SplitDataset, split: str, mode: str, ks, users,
             results: list[RecallResult]) -> MetricsReport:
-    """HR@k / NDCG@k averaged over the ranked users; the rest are excluded."""
+    """HR@k / NDCG@k averaged over the ranked users; the rest are excluded. A
+    repeated k is counted once."""
+    ks = dict.fromkeys(ks)
     hits = {(metric, k): 0.0 for k in ks for metric in ("HR", "NDCG")}
     for u, res in zip(users, results):
         target = int(dataset.test_target[u] if split == "test" else dataset.valid_target[u])
@@ -245,7 +246,7 @@ def sweep_mn(
     which, _, scorer = MODES["RECGPT"]
     users, rows = _inputs(dataset, split, which, pretrained, prompts, prompt_k, max(ks),
                           filter_history)
-    table = SweepTable(axis="m_n", points=list(grid))
+    table = SweepTable(points=list(grid))
     for results in recall_grid(tuned, users, rows, table.points, scorer, filter_history):
         _collect(table, _report(dataset, split, "RECGPT", ks, users, results))
     return table
@@ -265,14 +266,13 @@ def sweep_k(
     tune_kwargs=None,
 ) -> SweepTable:
     """Retune per prompt-window size K and evaluate each tuned model."""
-    table = SweepTable(axis="K", points=list(k_grid))
+    table = SweepTable(points=list(k_grid))
     tune_kwargs = dict(tune_kwargs or {})
     if m is None or n is None:
         m, n = max(ks), 0
     for K in table.points:
         prompts = generate_prompt_cache(dataset, pretrained, K)
-        tuned, _ = prompt_tune(dataset, pretrained, prompts, replace(hyper, prompt_window=K),
-                               tune_epochs, **tune_kwargs)
+        tuned, _ = prompt_tune(dataset, pretrained, prompts, hyper, tune_epochs, **tune_kwargs)
         _collect(table, evaluate(dataset, split, "RECGPT", pretrained=pretrained,
                                  tuned=tuned, ks=ks, m=m, n=n, prompt_k=K,
                                  filter_history=filter_history, prompts=prompts))

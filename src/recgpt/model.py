@@ -47,7 +47,6 @@ class HyperParams:
     n_layers: int = 1
     d_ff: int = 0          # 0 means 4*d
     max_len: int = 50
-    prompt_window: int = 1
     lr: float = 0.001
     batch_size: int = 256
     neg_count: int = 1
@@ -70,8 +69,8 @@ class HyperParams:
             raise ValueError(f"lr={self.lr} must be finite and > 0")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.prompt_window < 0:
-            raise ValueError("prompt_window must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
 
 
 class ModelParams:
@@ -79,7 +78,7 @@ class ModelParams:
 
     def __init__(self, n_users: int, n_items: int, hyper: HyperParams,
                  rng: np.random.Generator | None = None, dtype=np.float32,
-                 init_std: float = 0.02, tensors: dict[str, np.ndarray] | None = None):
+                 tensors: dict[str, np.ndarray] | None = None):
         """A fresh initialisation drawn from rng (seeded by hyper.seed when
         None) or, given tensors, a copy of them cast to dtype, drawing
         nothing: a missing tensor raises KeyError, a misshapen one ValueError."""
@@ -91,7 +90,7 @@ class ModelParams:
             rng = np.random.default_rng(hyper.seed)
 
         def normal(shape):
-            return (rng.standard_normal(shape) * init_std).astype(dtype)
+            return (rng.standard_normal(shape) * 0.02).astype(dtype)
 
         def glorot(shape):
             # blocks carry no residual path, so embedding-scale init would

@@ -153,8 +153,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Parameter, lr: float = 0.001, **kw) -> "AdamState":
-        return cls(m=np.zeros_like(param.value), v=np.zeros_like(param.value), lr=lr, **kw)
+    def for_param(cls, param: Parameter, lr: float = 0.001) -> "AdamState":
+        return cls(m=np.zeros_like(param.value), v=np.zeros_like(param.value), lr=lr)
 
 
 def adam_step(param: Parameter, state: AdamState) -> None:

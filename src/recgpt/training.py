@@ -66,15 +66,8 @@ class TrainReport:
     stage: str
     epoch_losses: list[float] = field(default_factory=list)
     wall_time: float = 0.0
-    param_norms: dict = field(default_factory=dict)
-    seed: int = 0
     best_epoch: int = -1
-    extra: dict = field(default_factory=dict)
-
-
-def _param_norms(params: ModelParams) -> dict:
-    return {name: float(np.linalg.norm(p.value)) for name, p in
-            zip(params.names(), params.parameters())}
+    best_valid_hr10: float | None = None
 
 
 def _valid_hr_at_10(dataset: SplitDataset, params: ModelParams, scorer: str,
@@ -170,7 +163,7 @@ def _batch_grads(params: ModelParams, rows, target_loss) -> float:
 
 
 def _train(params: ModelParams, trainable: list[str], batches, target_loss, epochs: int,
-           lr: float, early_stop_patience: int, valid_hr, report: TrainReport
+           lr: float, early_stop_patience: int, valid_hr, stage: str
            ) -> tuple[ModelParams, TrainReport]:
     """The loop both stages share.
 
@@ -180,6 +173,7 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
     the best copy is returned.
     """
     states = {n: AdamState.for_param(params[n], lr=lr) for n in trainable}
+    report = TrainReport(stage)
     t0 = time.perf_counter()
     best_hr, best_params, patience_left = -1.0, None, early_stop_patience
 
@@ -207,9 +201,8 @@ def _train(params: ModelParams, trainable: list[str], batches, target_loss, epoc
 
     if early_stop_patience > 0 and best_params is not None:
         params = best_params
-        report.extra["best_valid_hr10"] = best_hr
+        report.best_valid_hr10 = best_hr
     report.wall_time = time.perf_counter() - t0
-    report.param_norms = _param_norms(params)
     return params, report
 
 
@@ -244,8 +237,7 @@ def pretrain(
     with the head pretraining trained.
     """
     rng = np.random.default_rng(hyper.seed)
-    params = ModelParams(dataset.catalog.n_users, dataset.catalog.n_items, hyper,
-                         rng=np.random.default_rng(hyper.seed))
+    params = ModelParams(dataset.catalog.n_users, dataset.catalog.n_items, hyper)
 
     def batches():
         return iter_batches(dataset.n_users, hyper.batch_size, rng,
@@ -255,9 +247,8 @@ def pretrain(
     params, report = _train(params, [n for n in params.names() if n not in ("W_s", "W_l")],
                             batches, _bce_target, epochs, hyper.lr, early_stop_patience,
                             lambda p: _valid_hr_at_10(dataset, p, SCORER_TIED_EMB, reals),
-                            TrainReport(stage="pretrain", seed=hyper.seed))
+                            "pretrain")
     params["W_l"].value[...] = params["W_e"].value
-    report.param_norms["W_l"] = report.param_norms["W_e"]
     return params, report
 
 
@@ -364,5 +355,4 @@ def prompt_tune(
     return _train(params, params.names(), batches, _ce_target, epochs, hyper.lr,
                   early_stop_patience,
                   lambda p: _valid_hr_at_10(dataset, p, SCORER_OUTPUT_LAYER, inputs),
-                  TrainReport(stage="prompt_tune", seed=hyper.seed,
-                              extra={"K": hyper.prompt_window}))
+                  "prompt_tune")

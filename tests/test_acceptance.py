@@ -264,7 +264,7 @@ def test_criterion_3_oracle_equivalence():
 def lookahead_models():
     ds = lookahead_dataset(n_users=200, length=15, n_items=40, seed=0)
     hp = HyperParams(d=16, n_heads=2, n_layers=1, max_len=50, lr=0.003,
-                     batch_size=256, seed=2, prompt_window=1)
+                     batch_size=256, seed=2)
     pre, _ = pretrain(ds, hp, epochs=30)
     prompts = generate_prompt_cache(ds, pre, 1)
     tuned, _ = prompt_tune(ds, pre, prompts, hp, epochs=20)
@@ -310,13 +310,13 @@ def test_criterion_5_beauty_directional():
     records = kcore_filter(ingest_tsv(path), k=5)
     ds = build_splits(records)
     hp = HyperParams(d=64, n_heads=2, n_layers=1, max_len=50, lr=0.001,
-                     batch_size=256, seed=0, prompt_window=1)
+                     batch_size=256, seed=0)
     pre, _ = pretrain(ds, hp, epochs=200, early_stop_patience=10)
     prompts = generate_prompt_cache(ds, pre, 1)
     tuned, _ = prompt_tune(ds, pre, prompts, hp, epochs=200,
                            early_stop_patience=10)
     ft, _ = prompt_tune(ds, pre, generate_prompt_cache(ds, pre, 0),
-                        HyperParams(**{**vars(hp), "prompt_window": 0}),
+                        hp,
                         epochs=200, early_stop_patience=10)
 
     def hr10(mode, **kw):

@@ -51,8 +51,12 @@ def write_toy_tsv(path, n_users=20, n_items=20, length=10):
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
+    """The toy config with each override in place of its template line, as a
+    config names each key once."""
     data = write_toy_tsv(tmp_path / "toy.tsv")
-    text = CONFIG_TEMPLATE.format(data=data, out=tmp_path / "runs")
+    text = "".join(f"{line}\n" for line in
+                   CONFIG_TEMPLATE.format(data=data, out=tmp_path / "runs").splitlines()
+                   if line.partition("=")[0].strip() not in overrides)
     for key, value in overrides.items():
         text += f"{key} = {value}\n"
     path = tmp_path / name
@@ -92,12 +96,15 @@ def test_bool_coercion(tmp_path):
 
 
 def test_recall_split_must_match_largest_k(tmp_path):
-    # every k at least 1 and m >= 1, n >= 0, even where m + n is the largest k
+    # every k at least 1 and named once, and m >= 1, n >= 0, even where m + n
+    # is the largest k
     for overrides, match in (({"recall_m": 5, "recall_n": 2}, "recall_m"),
                              ({"recall_m": 0, "recall_n": 10}, "recall_m"),
                              ({"recall_m": 11, "recall_n": -1}, "recall_n"),
                              ({"eval_ks": "-1,10"}, "eval_ks"),
-                             ({"eval_ks": "0,10"}, "eval_ks")):
+                             ({"eval_ks": "0,10"}, "eval_ks"),
+                             ({"eval_ks": "5,5,10"}, "eval_ks '5,5,10'"),
+                             ({"eval_ks": "10,10"}, "eval_ks '10,10'")):
         with pytest.raises(ConfigError, match=match):
             parse_config(write_config(tmp_path, **overrides))
 
@@ -117,12 +124,29 @@ def test_hyperparameters_that_would_crash_or_mistrain_are_refused(tmp_path, caps
                              ({"lr": 0}, "lr=0"),
                              ({"lr": "nan"}, "lr=nan"),
                              ({"lr": "inf"}, "lr=inf"),
+                             ({"seed": -1}, "seed=-1"),
+                             ({"prompt_window": -1}, "prompt_window = -1"),
                              ({"pretrain_epochs": 0}, "pretrain_epochs = 0"),
                              ({"tune_epochs": -2}, "tune_epochs = -2")):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=match):
             parse_config(path)
         assert main(["preprocess", "--config", str(path)]) == 2, overrides
+        assert match in capsys.readouterr().err
+
+
+def test_a_repeated_key_or_eval_mode_exits_2(tmp_path, capsys):
+    """A key on two lines names both; a repeated eval mode, which would write
+    its eval rows and recall dump twice, is named."""
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("data_path = x\nmax_len = 50\n\n# shorter\nmax_len = 7\n")
+    for path, match in (
+            (repeated, "line 5: key 'max_len' repeats line 2"),
+            (write_config(tmp_path, eval_modes="RECGPT,PRETRAIN,recgpt"),
+             "eval mode 'RECGPT' is repeated")):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
+        assert main(["preprocess", "--config", str(path)]) == 2, match
         assert match in capsys.readouterr().err
 
 

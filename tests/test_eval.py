@@ -18,7 +18,7 @@ from recgpt.evaluation import (
 from recgpt.model import rank_items
 from recgpt.training import generate_prompt_cache, generate_prompts, pretrain, prompt_tune
 
-from conftest import make_dataset, tiny_dataset, tiny_hyper, tiny_params
+from conftest import cyclic_dataset, make_dataset, tiny_dataset, tiny_hyper, tiny_params
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,21 @@ def test_metrics_bounded_and_monotone_in_k():
     assert report.metrics[("NDCG", 10)] <= report.metrics[("HR", 10)]
 
 
+def test_a_repeated_k_is_counted_once():
+    """Each user's hit adds once to HR@k and NDCG@k, however often k is
+    named."""
+    ds = cyclic_dataset(n_users=50, length=10, n_items=20, seed=0)
+    params = tiny_params(n_users=50, n_items=20, seed=1)
+
+    def metrics(ks):
+        return evaluate(ds, "test", "PRETRAIN", pretrained=params, ks=ks).metrics
+
+    once, both = metrics((5,)), metrics((10, 5))
+    assert 0 < once[("HR", 5)] < 1
+    assert metrics((5, 5)) == once
+    assert metrics((10, 5, 5)) == both
+
+
 def test_report_matches_recall_csv_recompute(tmp_path):
     ds = tiny_dataset(n_users=5, n_items=12, length=6, seed=6)
     params = tiny_params(n_users=5, n_items=12, seed=6)
@@ -188,7 +203,7 @@ def test_mn_grid_complete():
 
 def test_sweep_mn_first_row_equals_one_step_eval():
     ds = tiny_dataset(n_users=5, n_items=15, length=6, seed=7)
-    hp = tiny_hyper(seed=7, prompt_window=1)
+    hp = tiny_hyper(seed=7)
     pre, _ = pretrain(ds, hp, epochs=1)
     prompts = generate_prompt_cache(ds, pre, 1)
     tuned, _ = prompt_tune(ds, pre, prompts, hp, epochs=1)
@@ -212,7 +227,7 @@ def prompted():
     """A pretrained and a K=2-tuned model on histories longer than max_len,
     so building the test input shifts the truncation window."""
     ds = tiny_dataset(n_users=6, n_items=12, length=9, seed=21)
-    hp = tiny_hyper(seed=21, max_len=4, prompt_window=2)
+    hp = tiny_hyper(seed=21, max_len=4)
     pre, _ = pretrain(ds, hp, epochs=1)
     cache = generate_prompt_cache(ds, pre, 2)
     tuned, _ = prompt_tune(ds, pre, cache, hp, epochs=1)

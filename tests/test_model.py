@@ -153,6 +153,22 @@ def test_user_module_is_additive():
     assert np.array_equal(h_u0_again, h_u1_same)
 
 
+def test_one_layer_sees_the_order_of_earlier_items():
+    """With one layer and no residual path, the last position's attention
+    output is a softmax-weighted sum over the earlier tokens, which only the
+    position embeddings make depend on their order. At unit-scale weights,
+    reversing the first 11 of 12 distinct items moves the final hidden state
+    far past float64 rounding."""
+    params = tiny_params(n_items=20, seed=13, d=16, max_len=12).astype(np.float64)
+    prng = np.random.default_rng(113)
+    for p in params.parameters():
+        p.value = prng.standard_normal(p.value.shape)
+    items = list(range(3, 15))
+    h, _ = forward(params, 0, items, [REAL] * 12)
+    h_rev, _ = forward(params, 0, items[-2::-1] + items[-1:], [REAL] * 12)
+    assert np.max(np.abs(h_rev[-1] - h[-1])) > 1e-6 * np.max(np.abs(h[-1]))
+
+
 # ---------------------------------------------------------------------------
 # scoring / ranking
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_both_stages_train_on_the_last_hyper_max_len_items(monkeypatch):
     it trains on to its last 4 items, as inference does. Rows run as stacked
     (B, L) calls, so the recorder counts the rows of each call."""
     ds = tiny_dataset(n_users=4, n_items=12, length=10, seed=13)
-    hp = tiny_hyper(seed=13, max_len=4, prompt_window=1)
+    hp = tiny_hyper(seed=13, max_len=4)
     lengths = []
 
     def recording(params, user, items, segments):
@@ -286,7 +286,7 @@ def test_tune_loss_decreases_and_is_finite():
     pre, _ = pretrain(ds, tiny_hyper(seed=10), epochs=2)
     prompts = generate_prompt_cache(ds, pre, 1)
     tuned, report = prompt_tune(ds, pre, prompts,
-                                tiny_hyper(seed=10, prompt_window=1), epochs=5)
+                                tiny_hyper(seed=10), epochs=5)
     assert all(np.isfinite(l) for l in report.epoch_losses)
     assert report.epoch_losses[-1] < report.epoch_losses[0]
 
@@ -296,12 +296,12 @@ def test_tune_all_real_positions_mode():
     pre, _ = pretrain(ds, tiny_hyper(seed=11), epochs=1)
     prompts = generate_prompt_cache(ds, pre, 1)
     tuned, report = prompt_tune(ds, pre, prompts,
-                                tiny_hyper(seed=11, prompt_window=1), epochs=2,
+                                tiny_hyper(seed=11), epochs=2,
                                 loss_positions="all_real")
     assert all(np.isfinite(l) for l in report.epoch_losses)
     # more targets per user than the single-position default
     _, last_report = prompt_tune(ds, pre, prompts,
-                                 tiny_hyper(seed=11, prompt_window=1), epochs=1)
+                                 tiny_hyper(seed=11), epochs=1)
     assert report.epoch_losses[0] > last_report.epoch_losses[0]
 
 
