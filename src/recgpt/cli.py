@@ -113,8 +113,16 @@ def _tune_options(cfg: RunConfig) -> dict:
             "early_stop_patience": cfg.early_stop_patience}
 
 
-def cmd_gen_prompts(cfg: RunConfig, args) -> int:
+def _prompt_k(cfg: RunConfig, args) -> int:
+    """The stage's prompt window: --k when given, else prompt_window."""
     K = cfg.prompt_window if args.k is None else args.k
+    if K < 0:
+        raise ConfigError(f"--k {K} must be >= 0")
+    return K
+
+
+def cmd_gen_prompts(cfg: RunConfig, args) -> int:
+    K = _prompt_k(cfg, args)
     [path] = _outputs(cfg, args, PROMPTS.name(K))
     dataset, ds_manifest = load_dataset(path.parent / DATASET.name(), cfg)
     params, pre_manifest = load_model(path.parent / PRETRAINED.name(), cfg, "pretrain",
@@ -125,7 +133,7 @@ def cmd_gen_prompts(cfg: RunConfig, args) -> int:
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
-    K = cfg.prompt_window if args.k is None else args.k
+    K = _prompt_k(cfg, args)
     path, report_path = _outputs(cfg, args, TUNED.name(K), f"tune_K{K}_report.csv")
     d = path.parent
     dataset, ds_manifest = load_dataset(d / DATASET.name(), cfg)

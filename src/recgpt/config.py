@@ -74,6 +74,8 @@ class RunConfig(HyperParams):
     def modes(self) -> list[str]:
         from .evaluation import MODES
         modes = [m.strip().upper() for m in self.eval_modes.split(",") if m.strip()]
+        if not modes:
+            raise ConfigError(f"eval_modes {self.eval_modes!r} names no mode")
         for i, m in enumerate(modes):
             if m not in MODES:
                 raise ConfigError(f"unknown eval mode {m!r}")

@@ -17,7 +17,7 @@ from recgpt.model import (
     backward,
     forward,
 )
-from recgpt.numerics import bce_pair_loss, causal_mask, cross_entropy, masked_softmax
+from recgpt.numerics import causal_mask, masked_softmax
 from recgpt.recall import recall_one_step, recall_two_step
 from recgpt.training import (
     PromptEnhancedSequence,
@@ -34,8 +34,7 @@ from conftest import (
     noisy_walk_dataset,
     tiny_params,
 )
-from test_data import kcore_oracle
-from test_training import greedy_decode_oracle
+from reference import decode64, greedy_prompts, kcore_oracle, ref_bce, ref_ce
 
 
 def report(criterion: int, passed: bool, detail: str = "") -> None:
@@ -58,30 +57,17 @@ def loss_and_grads(params, dataset, stage):
             segments = [REAL] * len(items)
             h, cache = forward(params, u, items, segments)
             d_h = np.zeros_like(h)
-            w_e = params["W_e"]
             for t in range(len(items) - 1):
                 pos = items[t + 1]
                 negs = np.array([(pos + 1 + u) % params.n_items])
-                pos_score = float(w_e.value[pos] @ h[t])
-                neg_scores = w_e.value[negs] @ h[t]
-                loss, d_pos, d_negs = bce_pair_loss(pos_score, neg_scores)
-                total += loss
-                d_h[t] += d_pos * w_e.value[pos] + d_negs @ w_e.value[negs]
-                w_e.grad[pos] += d_pos * h[t]
-                np.add.at(w_e.grad, negs, np.outer(d_negs, h[t]))
+                total += ref_bce(params, h, d_h, t, pos, negs)
             backward(params, cache, d_h)
         else:
             items = dataset.sequences[u] + [int(dataset.valid_target[u])]
             segments = [REAL, PROMPT] * (len(items) // 2) + [REAL] * (len(items) % 2)
             h, cache = forward(params, u, items, segments)
-            w_l = params["W_l"]
-            target = int(dataset.test_target[u])
-            logits = w_l.value @ h[-1]
-            loss, d_logits = cross_entropy(logits, target)
-            total += loss
-            w_l.grad += np.outer(d_logits, h[-1])
             d_h = np.zeros_like(h)
-            d_h[-1] = w_l.value.T @ d_logits
+            total += ref_ce(params, h, d_h, len(items) - 1, int(dataset.test_target[u]))
             backward(params, cache, d_h)
     return total, [params[name].grad.copy() for name in params.names()]
 
@@ -250,7 +236,7 @@ def test_criterion_3_oracle_equivalence():
         seq = rng.integers(0, 3, size=4).tolist()
         K = int(rng.integers(1, 3))
         pes = generate_prompts(params, 0, seq, K)
-        items, segs = greedy_decode_oracle(params, 0, seq, K)
+        items, segs = greedy_prompts(decode64, params, 0, seq, K)
         assert pes.items == items and pes.segments == segs
 
     report(3, True, "(k-core, HR/NDCG, greedy decode)")

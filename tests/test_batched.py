@@ -1,8 +1,9 @@
 """Batched inference and training against the per-user path.
 
-The inference references run the per-user `forward` directly, one row and
-one greedy step at a time, so they share no code with the bucketed, chunked
-last-position path they check, which must match them bit for bit. The
+The inference references (tests/reference.py over the per-user `forward`)
+run one row and one greedy step at a time, truncate by slicing and rank by a
+full sort, so they share no code with the bucketed, chunked last-position
+path they check, which must match them bit for bit. The
 training references run one per-user forward and backward per row and one
 loss call per target; stacked gradients differ from them only in the order
 of summation.
@@ -10,6 +11,7 @@ of summation.
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 
 import recgpt.recall
 from recgpt.checkpoint import load
-from recgpt.data import truncate_last
 from recgpt.evaluation import (
     MODES,
     MetricsReport,
@@ -38,14 +39,11 @@ from recgpt.model import (
     backward,
     forward,
     last_hidden,
-    rank_items,
     score_items,
 )
-from recgpt.numerics import AdamState, NumericsError, adam_step, bce_pair_loss, cross_entropy
+from recgpt.numerics import AdamState, NumericsError, adam_step
 from recgpt.recall import (
     CHUNK_POSITIONS,
-    STEP1,
-    STEP2,
     RecallResult,
     dump_recall_csv,
     final_hidden,
@@ -67,40 +65,18 @@ from recgpt.training import (
 )
 
 from conftest import make_dataset, tiny_hyper, tiny_params
+from reference import (
+    forward_states,
+    full_sort_rank,
+    greedy_prompts,
+    last_state,
+    last_window,
+    ref_bce,
+    ref_ce,
+    two_step_recall,
+)
 
-
-def ref_hidden(params, user, items, segments):
-    items, segments = truncate_last(list(items), list(segments), params.hyper.max_len)
-    return forward(params, user, items, segments)[0][-1]
-
-
-def ref_recall(params, user, seq, segments, m, n, scorer, filter_history):
-    """Two-step recall as the per-user loop ran it: one forward per step."""
-    logits = score_items(params, ref_hidden(params, user, seq, segments), scorer)
-    real = {v for v, s in zip(seq, segments) if s == REAL} if filter_history else set()
-    top = rank_items(logits, m, exclude=real)
-    items, scores, prov = top.tolist(), logits[top].tolist(), [STEP1] * len(top)
-    if n:
-        h2 = ref_hidden(params, user, list(seq) + [int(top[0])], list(segments) + [PROMPT])
-        logits2 = score_items(params, h2, scorer)
-        fill = rank_items(logits2, n, exclude=set(items) | real)
-        items += fill.tolist()
-        scores += logits2[fill].tolist()
-        prov += [STEP2] * len(fill)
-    return items, scores, prov
-
-
-def ref_prompts(params, user, seq, K):
-    """Greedy prompts for one user, one per-user forward per prompt."""
-    items, segments = [], []
-    for v in seq:
-        for _ in range(K if items else 0):
-            h = ref_hidden(params, user, items, segments)
-            items.append(int(np.argmax(score_items(params, h, SCORER_OUTPUT_LAYER))))
-            segments.append(PROMPT)
-        items.append(int(v))
-        segments.append(REAL)
-    return items, segments
+ref_hidden = partial(last_state, forward_states)
 
 
 def _params(seed, n_users=4, n_items=10, max_len=5, ties=False, dtype=np.float32, **hyper):
@@ -201,8 +177,8 @@ def test_batched_recall_and_greedy_steps_equal_the_per_user_path(lengths, m, n, 
     [results] = recall_grid(params, users, rows, [(m, n)], scorer, filter_history=filter_history)
     assert [r.user for r in results] == users
     for user, (seq, segments), res in zip(users, rows, results):
-        items, scores, prov = ref_recall(params, user, seq, segments, m, n, scorer,
-                                         filter_history)
+        items, scores, prov = two_step_recall(forward_states, params, user, seq, segments, m,
+                                              n, scorer, filter_history)
         assert (res.items.tolist(), res.scores.tolist(), res.provenance) == (items, scores, prov)
         one = recall_two_step(params, user, seq, m, n, scorer, segments=segments,
                               filter_history=filter_history)
@@ -212,7 +188,7 @@ def test_batched_recall_and_greedy_steps_equal_the_per_user_path(lengths, m, n, 
     for user, (seq, segments), h, pick in zip(users, rows, hidden, picks):
         expected = ref_hidden(params, user, seq, segments)
         assert np.array_equal(h, expected)
-        assert pick == int(rank_items(score_items(params, expected, scorer), 1)[0])
+        assert pick == int(full_sort_rank(score_items(params, expected, scorer), 1)[0])
 
 
 def test_final_hidden_chunks_each_length_bucket_and_keeps_input_order(monkeypatch):
@@ -262,11 +238,12 @@ def test_prompt_cache_and_inputs_with_empty_and_short_prefixes(ragged):
     ds, pre, _ = ragged
     cache = generate_prompt_cache(ds, pre, 2)
     assert [(p.items, p.segments) for p in cache] == \
-        [ref_prompts(pre, u, seq, 2) for u, seq in enumerate(ds.sequences)]
+        [greedy_prompts(forward_states, pre, u, seq, 2) for u, seq in enumerate(ds.sequences)]
     for split in ("valid", "test"):
         rows = prompt_inputs(ds, split, pre, cache, 2)
         assert [(p.items, p.segments) for p in rows] == \
-            [ref_prompts(pre, u, eval_input(ds, u, split), 2) for u in range(ds.n_users)]
+            [greedy_prompts(forward_states, pre, u, eval_input(ds, u, split), 2)
+             for u in range(ds.n_users)]
 
 
 @pytest.mark.parametrize("split", ["valid", "test"])
@@ -284,13 +261,14 @@ def test_every_mode_with_empty_and_short_prefixes_equals_the_per_user_path(ragge
     for u in range(ds.n_users):
         seq = eval_input(ds, u, split)
         if which == "tuned":
-            seq, segments = ref_prompts(pre, u, seq, K)
+            seq, segments = greedy_prompts(forward_states, pre, u, seq, K)
         else:
             segments = [REAL] * len(seq)
         if not seq:
             continue
-        items, scores, prov = ref_recall(params, u, seq, segments, m if two_step else max(ks),
-                                         n if two_step else 0, scorer, True)
+        items, scores, prov = two_step_recall(forward_states, params, u, seq, segments,
+                                              m if two_step else max(ks), n if two_step else 0,
+                                              scorer, True)
         results.append(RecallResult(u, np.asarray(items), np.asarray(scores, dtype=params.dtype),
                                     prov))
         target = int(ds.test_target[u] if split == "test" else ds.valid_target[u])
@@ -315,7 +293,7 @@ def test_early_stopping_hr_equals_the_per_user_path(scorer):
     for seed in range(4):
         params = _params(20 + seed, n_users=12, n_items=40, max_len=4)
         hits = sum(int(ds.valid_target[u]) in
-                   rank_items(score_items(params, ref_hidden(params, u, *row), scorer), 10)
+                   full_sort_rank(score_items(params, ref_hidden(params, u, *row), scorer), 10)
                    for u, row in enumerate(inputs) if row[0])
         assert _valid_hr_at_10(ds, params, scorer, inputs) == hits / ds.n_users
 
@@ -323,25 +301,6 @@ def test_early_stopping_hr_equals_the_per_user_path(scorer):
 # ---------------------------------------------------------------------------
 # stacked training steps
 # ---------------------------------------------------------------------------
-
-def ref_bce(params, h, d_h, t, pos, negs):
-    """Pairwise BCE of one target."""
-    w_e = params["W_e"]
-    loss, d_pos, d_negs = bce_pair_loss(float(w_e.value[pos] @ h[t]), w_e.value[negs] @ h[t])
-    d_h[t] += d_pos * w_e.value[pos] + d_negs @ w_e.value[negs]
-    w_e.grad[pos] += d_pos * h[t]
-    np.add.at(w_e.grad, negs, np.outer(d_negs, h[t]))
-    return loss
-
-
-def ref_ce(params, h, d_h, pos, tgt):
-    """Full-catalog cross-entropy of one target."""
-    w_l = params["W_l"]
-    loss, d_logits = cross_entropy(w_l.value @ h[pos], tgt)
-    w_l.grad += np.outer(d_logits, h[pos])
-    d_h[pos] += w_l.value.T @ d_logits
-    return loss
-
 
 def ref_batch_grads(params, rows, target_loss):
     """One per-user forward and backward per row, one loss call per target;
@@ -390,7 +349,7 @@ def test_stacked_batch_gradients_equal_the_per_user_loop(lengths, n_layers, n_he
     else:
         prompts = [PromptEnhancedSequence(seq, rng.integers(0, 2, size=len(seq)).tolist())
                    for seq in seqs]
-        inputs = [truncate_last(p.items, p.segments, 5) for p in prompts]
+        inputs = [last_window(p.items, p.segments, 5) for p in prompts]
         rows = [tune_row(u, *inputs[u], int(ds.valid_target[u]), stage) for u in range(n_users)]
         batched, ref = _ce_target, ref_ce
 

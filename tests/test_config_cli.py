@@ -216,6 +216,16 @@ def test_unknown_eval_mode_rejected(tmp_path):
         parse_config(write_config(tmp_path, eval_modes="PRETRAIN,BOGUS"))
 
 
+@pytest.mark.parametrize("modes", ["", ","])
+def test_eval_modes_naming_no_mode_exits_2(tmp_path, capsys, modes):
+    """With no mode, eval would load both models and write a header-only CSV."""
+    path = write_config(tmp_path, eval_modes=modes)
+    with pytest.raises(ConfigError, match="names no mode"):
+        parse_config(path)
+    assert main(["preprocess", "--config", str(path)]) == 2
+    assert "names no mode" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # pipeline CLI
 # ---------------------------------------------------------------------------
@@ -450,7 +460,7 @@ def test_main_keeps_freed_activations_for_reuse():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("stage did work although its outputs exist")
+    raise AssertionError("stage did work before it refused")
 
 
 @pytest.mark.parametrize("stage,work", [
@@ -466,6 +476,15 @@ def test_stage_refuses_overwrite_before_any_work(pipeline, monkeypatch, stage, w
     _, cfg_path, _, _ = pipeline
     monkeypatch.setattr(recgpt.cli, work, _refuse)
     assert main([stage, "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("stage", ["gen-prompts", "tune"])
+def test_a_negative_k_exits_2_before_anything_is_loaded(tmp_path, monkeypatch, capsys, stage):
+    import recgpt.cli
+
+    monkeypatch.setattr(recgpt.cli, "load_dataset", _refuse)
+    assert main([stage, "--k", "-1", "--config", str(write_config(tmp_path))]) == 2
+    assert "--k -1 must be >= 0" in capsys.readouterr().err
 
 
 def test_pretrain_checks_its_report_before_writing_the_checkpoint(tmp_path, monkeypatch):

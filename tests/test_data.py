@@ -1,5 +1,5 @@
 """Preprocessing: ingestion, k-core filtering, leave-one-out splits, batching."""
-from collections import Counter, defaultdict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from recgpt.model import REAL
 from recgpt.training import pretrain_row
 
 from conftest import tiny_dataset
+from reference import kcore_oracle
 
 
 def write_tsv(path, rows):
@@ -70,31 +71,6 @@ def test_ingest_missing_file(tmp_path):
 # ---------------------------------------------------------------------------
 # k-core
 # ---------------------------------------------------------------------------
-
-def kcore_oracle(records, k):
-    """Remove one violator at a time until stable. The k-core is unique, so
-    any removal order reaches the same fixpoint as the batch implementation."""
-    current = list(records)
-    changed = True
-    while changed:
-        changed = False
-        user_counts = Counter(r.user_id for r in current)
-        item_users = defaultdict(set)
-        for r in current:
-            item_users[r.item_id].add(r.user_id)
-        for u, c in user_counts.items():
-            if c < k:
-                current = [r for r in current if r.user_id != u]
-                changed = True
-                break
-        else:
-            for v, us in item_users.items():
-                if len(us) < k:
-                    current = [r for r in current if r.item_id != v]
-                    changed = True
-                    break
-    return current
-
 
 def test_kcore_already_satisfying_unchanged():
     records = [Interaction(f"u{u}", f"i{v}", 10 * u + v)

@@ -20,35 +20,7 @@ from recgpt.model import (
 from recgpt.numerics import NumericsError
 
 from conftest import tiny_params
-
-
-def forward_oracle(params, user, items, segments):
-    """Straight-line float64 re-implementation with explicit loops."""
-    hp = params.hyper
-    d, n_heads = hp.d, hp.n_heads
-    head_dim = d // n_heads
-    L = len(items)
-    W = {name: params[name].value.astype(np.float64) for name in params.names()}
-    h = np.zeros((L, d))
-    for t in range(L):
-        h[t] = W["W_u"][user] + W["W_e"][items[t]] + W["W_p"][t] + W["W_s"][segments[t]]
-    for l in range(hp.n_layers):
-        q = h @ W[f"layer{l}.W_q"]
-        k = h @ W[f"layer{l}.W_k"]
-        v = h @ W[f"layer{l}.W_v"]
-        att = np.zeros((L, d))
-        for hd in range(n_heads):
-            sl = slice(hd * head_dim, (hd + 1) * head_dim)
-            for t in range(L):
-                scores = np.array([q[t, sl] @ k[j, sl] / np.sqrt(d)
-                                   for j in range(t + 1)])
-                e = np.exp(scores - scores.max())
-                p = e / e.sum()
-                att[t, sl] = sum(p[j] * v[j, sl] for j in range(t + 1))
-        s = att @ W[f"layer{l}.W_s"]
-        a1 = s @ W[f"layer{l}.W_1"] + W[f"layer{l}.b_1"]
-        h = np.maximum(a1, 0.0) @ W[f"layer{l}.W_2"] + W[f"layer{l}.b_2"]
-    return h
+from reference import decode64, full_sort_rank
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +79,7 @@ def test_forward_matches_float64_oracle(rng):
         items = rng.integers(0, 8, size=L).tolist()
         segments = rng.integers(0, 2, size=L).tolist()
         h, _ = forward(params, 1, items, segments)
-        expected = forward_oracle(params, 1, items, segments)
+        expected = decode64(params, 1, items, segments)
         assert np.allclose(h, expected, rtol=1e-9, atol=1e-12)
 
 
@@ -116,7 +88,7 @@ def test_forward_two_layers_matches_oracle(rng):
     items = [1, 4, 2, 0]
     segments = [REAL, REAL, PROMPT, REAL]
     h, _ = forward(params, 0, items, segments)
-    assert np.allclose(h, forward_oracle(params, 0, items, segments), rtol=1e-9)
+    assert np.allclose(h, decode64(params, 0, items, segments), rtol=1e-9)
 
 
 def test_forward_is_pure():
@@ -233,14 +205,6 @@ def _perfbench_checks():
 
 
 oracle_top = _perfbench_checks().oracle_top
-
-
-def full_sort_rank(logits, k, exclude=None):
-    """rank_items as a stable argsort of the whole catalog and an isin filter."""
-    order = np.argsort(-logits, kind="stable")
-    if exclude:
-        order = order[~np.isin(order, list(exclude))]
-    return order[:k]
 
 
 # few distinct values, so most ranks tie; -0.0 and 0.0 compare equal

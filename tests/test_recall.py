@@ -13,7 +13,6 @@ from recgpt.model import (
     rank_items,
     score_items,
 )
-from recgpt.data import truncate_last
 from recgpt.evaluation import mn_grid
 from recgpt.recall import (
     STEP1,
@@ -26,6 +25,7 @@ from recgpt.recall import (
 )
 
 from conftest import tiny_params
+from reference import forward_states, full_sort_rank, last_state, two_step_recall
 
 
 def test_one_step_matches_exhaustive_scoring_oracle(rng):
@@ -34,8 +34,7 @@ def test_one_step_matches_exhaustive_scoring_oracle(rng):
     res = recall_one_step(params, 0, seq, 6, SCORER_TIED_EMB)
     h, _ = forward(params, 0, seq, [REAL] * 5)
     logits = params["W_e"].value @ h[-1]
-    order = sorted(range(12), key=lambda i: (-logits[i], i))
-    assert res.items.tolist() == order[:6]
+    assert res.items.tolist() == full_sort_rank(logits, 6).tolist()
     assert np.array_equal(res.scores, logits[res.items])
     assert res.provenance == [STEP1] * 6
 
@@ -79,13 +78,10 @@ def test_two_step_appends_argmax_as_prompt_item(rng):
     step1 = recall_one_step(params, 1, seq, 3, SCORER_TIED_EMB)
     assert np.array_equal(res.items[:3], step1.items)
     # second pass: rerun with the step-1 argmax appended as a PROMPT token
-    ext_items, ext_segs = truncate_last(seq + [int(step1.items[0])],
-                                        [REAL] * 4 + [PROMPT], params.hyper.max_len)
-    h2, _ = forward(params, 1, ext_items, ext_segs)
-    logits2 = params["W_e"].value @ h2[-1]
-    fill = rank_items(logits2, 2, exclude=set(step1.items.tolist()))
-    assert np.array_equal(res.items[3:], fill)
-    assert res.provenance == [STEP1] * 3 + [STEP2] * 2
+    items, scores, prov = two_step_recall(forward_states, params, 1, seq, [REAL] * 4, 3, 2,
+                                          SCORER_TIED_EMB, False)
+    assert (res.items.tolist(), res.scores.tolist()) == (items, scores)
+    assert res.provenance == prov == [STEP1] * 3 + [STEP2] * 2
 
 
 def test_two_step_result_has_k_distinct_items(rng):
@@ -136,9 +132,7 @@ def test_greedy_step_picks_rank_items_top_on_tie_heavy_logits(rng):
         segs = rng.integers(0, 2, size=len(seq)).tolist()
         scorer = SCORER_TIED_EMB if trial % 2 else SCORER_OUTPUT_LAYER
         [h], [item] = greedy_steps(params, [1], [(seq, segs)], scorer)
-        items, segments = truncate_last(seq, segs, params.hyper.max_len)
-        expected_h, _ = forward(params, 1, items, segments)
-        assert np.array_equal(h, expected_h[-1])
+        assert np.array_equal(h, last_state(forward_states, params, 1, seq, segs))
         assert item == int(rank_items(score_items(params, h, scorer), 1)[0])
 
 

@@ -19,7 +19,7 @@ from recgpt.model import (
     score_items,
 )
 from recgpt.numerics import bce_pair_loss, cross_entropy
-from recgpt.recall import greedy_steps, recall_one_step
+from recgpt.recall import recall_one_step
 from recgpt.training import (
     PromptEnhancedSequence,
     TrainingError,
@@ -32,6 +32,7 @@ from recgpt.training import (
 )
 
 from conftest import tiny_dataset, tiny_hyper, tiny_params
+from reference import decode64, forward_states, greedy_prompts
 
 
 def zeroed_params(**kw):
@@ -149,49 +150,6 @@ def test_generate_prompts_rejects_negative_k():
         generate_prompts(tiny_params(), 0, [1, 2], -1)
 
 
-def greedy_decode_oracle(params, user, seq, K):
-    """Independent prompt generation: explicit embedding sums, single-head
-    softmax attention per head, FFN, then argmax over the output layer."""
-    hp = params.hyper
-    d, n_heads = hp.d, hp.n_heads
-    head_dim = d // n_heads
-    W = {name: params[name].value.astype(np.float64) for name in params.names()}
-
-    def last_hidden(items, segs):
-        items = items[-hp.max_len:]
-        segs = segs[-hp.max_len:]
-        L = len(items)
-        h = np.array([W["W_u"][user] + W["W_e"][items[t]] + W["W_p"][t]
-                      + W["W_s"][segs[t]] for t in range(L)])
-        for l in range(hp.n_layers):
-            q, k, v = (h @ W[f"layer{l}.W_q"], h @ W[f"layer{l}.W_k"],
-                       h @ W[f"layer{l}.W_v"])
-            att = np.zeros((L, d))
-            for hd in range(n_heads):
-                sl = slice(hd * head_dim, (hd + 1) * head_dim)
-                for t in range(L):
-                    scores = np.array([q[t, sl] @ k[j, sl] for j in range(t + 1)])
-                    scores = scores / np.sqrt(d)
-                    e = np.exp(scores - scores.max())
-                    p = e / e.sum()
-                    att[t, sl] = p @ v[: t + 1, sl]
-            s = att @ W[f"layer{l}.W_s"]
-            h = (np.maximum(s @ W[f"layer{l}.W_1"] + W[f"layer{l}.b_1"], 0.0)
-                 @ W[f"layer{l}.W_2"] + W[f"layer{l}.b_2"])
-        return h[-1]
-
-    items, segs = [seq[0]], [REAL]
-    for t in range(1, len(seq)):
-        for _ in range(K):
-            logits = W["W_l"] @ last_hidden(items, segs)
-            best = int(np.lexsort((np.arange(len(logits)), -logits))[0])
-            items.append(best)
-            segs.append(PROMPT)
-        items.append(seq[t])
-        segs.append(REAL)
-    return items, segs
-
-
 def test_greedy_decode_matches_oracle_on_d2_v3_model():
     hp = HyperParams(d=2, n_heads=1, n_layers=1, max_len=10, seed=0)
     rng = np.random.default_rng(0)
@@ -200,9 +158,26 @@ def test_greedy_decode_matches_oracle_on_d2_v3_model():
         seq = rng.integers(0, 3, size=4).tolist()
         K = int(rng.integers(1, 3))
         pes = generate_prompts(params, 1, seq, K)
-        items, segs = greedy_decode_oracle(params, 1, seq, K)
+        items, segs = greedy_prompts(decode64, params, 1, seq, K)
         assert pes.items == items
         assert pes.segments == segs
+
+
+def test_greedy_decode_matches_oracle_on_unit_scale_two_layer_model():
+    """Unit-scale weights in two layers of two heads spread the argmax over
+    the catalog, and 6-item rows under max_len 5 make the later prompts read
+    a truncated window."""
+    hp = HyperParams(d=4, n_heads=2, n_layers=2, max_len=5, seed=0)
+    rng = np.random.default_rng(1)
+    for trial in range(10):
+        params = ModelParams(2, 8, hp).astype(np.float64)
+        prng = np.random.default_rng(trial + 100)
+        for p in params.parameters():
+            p.value = prng.standard_normal(p.value.shape)
+        seq = rng.integers(0, 8, size=6).tolist()
+        K = int(rng.integers(1, 3))
+        pes = generate_prompts(params, 1, seq, K)
+        assert (pes.items, pes.segments) == greedy_prompts(decode64, params, 1, seq, K)
 
 
 def test_generate_prompt_cache_deterministic():
@@ -211,20 +186,6 @@ def test_generate_prompt_cache_deterministic():
     a = generate_prompt_cache(ds, params, 2)
     b = generate_prompt_cache(ds, params, 2)
     assert [(p.items, p.segments) for p in a] == [(p.items, p.segments) for p in b]
-
-
-def regenerate_prompts(params, user, seq, K):
-    """Prompt generation over the whole sequence at once, one greedy step per
-    prompt: the path that extend_prompt_rows continues from a saved row."""
-    items, segments = [int(v) for v in seq[:1]], [REAL] * len(seq[:1])
-    for v in seq[1:]:
-        for _ in range(K):
-            items.append(greedy_steps(params, [user], [(items, segments)],
-                                      SCORER_OUTPUT_LAYER)[1][0])
-            segments.append(PROMPT)
-        items.append(int(v))
-        segments.append(REAL)
-    return items, segments
 
 
 @given(prefix=st.lists(st.integers(0, 7), max_size=9),
@@ -246,8 +207,8 @@ def test_extending_a_cached_row_equals_regenerating(prefix, new_items, K, max_le
     [extended] = extend_prompt_rows(params, [user], [cached], [new_items], K)
     whole = generate_prompts(params, user, prefix + new_items, K)
     assert (extended.items, extended.segments) == (whole.items, whole.segments)
-    assert (whole.items, whole.segments) == regenerate_prompts(params, user,
-                                                               prefix + new_items, K)
+    assert (whole.items, whole.segments) == greedy_prompts(forward_states, params, user,
+                                                           prefix + new_items, K)
 
 
 # ---------------------------------------------------------------------------
