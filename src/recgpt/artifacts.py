@@ -187,7 +187,8 @@ def save_model(path, params: ModelParams, stage: str, cfg: RunConfig, upstream: 
 def load_model(path, cfg: RunConfig, stage: str, hyper: HyperParams,
                upstream: dict | None = None) -> tuple[ModelParams, dict]:
     """The model a training stage wrote, rebuilt with hyper; refused unless
-    every tensor has its shape and holds finite values."""
+    every tensor has its shape and holds finite values, and the checkpoint
+    holds no tensor the model does not declare."""
     def decode(path, tensors, n_users, n_items):
         try:
             params = ModelParams(n_users, n_items, hyper, tensors=tensors)

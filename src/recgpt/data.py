@@ -163,12 +163,13 @@ def sample_negatives(seq_items, vocab_size: int, count: int, rng: np.random.Gene
 
 
 def truncate_last(items, segments, max_len: int):
-    """Keep the final max_len (item, segment) pairs, order preserved."""
+    """Keep the final max_len (item, segment) pairs, order preserved, as
+    slices of the inputs (views, for arrays)."""
     if max_len < 1:
         raise DataError("truncate_last requires max_len >= 1")
     if len(items) != len(segments):
         raise DataError("items and segments must be aligned")
-    return list(items[-max_len:]), list(segments[-max_len:])
+    return items[-max_len:], segments[-max_len:]
 
 
 def length_groups(lengths, max_positions: int) -> list[np.ndarray]:

@@ -12,7 +12,10 @@ training right-pads a batch's rows to a few length buckets and runs each
 bucket as one stacked forward and one stacked backward, whose weight
 gradients sum over every row and position (padded positions add zeros).
 Inference reads only the final position and runs last_hidden(), a stacked
-batch forward without caches whose rows equal forward()'s bit for bit.
+batch forward without caches whose rows equal forward()'s bit for bit: on
+the last layer only the final queries go through the softmax, the weighted
+sum, W^S and the FFN. score_items scores one hidden state or a block of them,
+each row as its own matrix-vector product.
 """
 from __future__ import annotations
 
@@ -81,7 +84,9 @@ class ModelParams:
                  tensors: dict[str, np.ndarray] | None = None):
         """A fresh initialisation drawn from rng (seeded by hyper.seed when
         None) or, given tensors, a copy of them cast to dtype, drawing
-        nothing: a missing tensor raises KeyError, a misshapen one ValueError."""
+        nothing: a missing tensor raises KeyError, a misshapen one ValueError,
+        and so does one the model does not declare (a checkpoint of another
+        architecture would otherwise load as a different model)."""
         self.n_users = n_users
         self.n_items = n_items
         self.hyper = hyper
@@ -129,6 +134,9 @@ class ModelParams:
             add(f"layer{l}.W_2", (dff, d), glorot)
             add(f"layer{l}.b_2", (d,), zeros)
         add("W_l", (n_items, d), lambda shape: self._params["W_e"].value.copy())
+        undeclared = sorted(set(tensors or ()) - set(self._params))
+        if undeclared:
+            raise ValueError(f"checkpoint holds undeclared tensors {undeclared}")
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -213,26 +221,30 @@ def embed_input(params: ModelParams, user, items, segments) -> np.ndarray:
     return h0
 
 
-def _attention(params: ModelParams, layer: int, h: np.ndarray):
-    """Masked multi-head self-attention over every position of h, (L, d) or
-    stacked (B, L, d); returns q, k, v, the per-head weights and the heads'
-    concatenated outputs."""
+def _attention(params: ModelParams, layer: int, h: np.ndarray, rows: int | None = None):
+    """Masked multi-head self-attention over h, (L, d) or stacked (B, L, d);
+    returns q, k, v, the per-head weights and the heads' concatenated
+    outputs. Every query's scores are formed; given rows, the softmax and the
+    weighted sum run on the final `rows` queries only, so the weights are
+    (..., rows, L) and the outputs (..., rows, d)."""
     hp = params.hyper
     d = hp.d
     head_dim = d // hp.n_heads
-    mask = causal_mask(h.shape[-2], dtype=h.dtype)
+    L = h.shape[-2]
+    rows = L if rows is None else rows
+    mask = causal_mask(L, dtype=h.dtype)[L - rows:]
 
     q = h @ params[f"layer{layer}.W_q"].value
     k = h @ params[f"layer{layer}.W_k"].value
     v = h @ params[f"layer{layer}.W_v"].value
 
-    att_concat = np.empty_like(h)
+    att_concat = np.empty(h.shape[:-2] + (rows, d), dtype=h.dtype)
     probs = []
     scale = 1.0 / np.sqrt(np.asarray(d, dtype=h.dtype))
     for hd in range(hp.n_heads):
         sl = slice(hd * head_dim, (hd + 1) * head_dim)
         scores = (q[..., sl] @ k[..., sl].swapaxes(-1, -2)) * scale
-        p = masked_softmax(scores, mask)
+        p = masked_softmax(scores[..., L - rows:, :], mask)
         probs.append(p)
         att_concat[..., sl] = p @ v[..., sl]
     return q, k, v, probs, att_concat
@@ -337,14 +349,17 @@ def last_hidden(params: ModelParams, users, items, segments) -> np.ndarray:
 
     users is (B,) with B >= 2, items and segments are (B, L) with L >= 1;
     row b of the (B, d) result is bit-identical to forward(params, users[b],
-    items[b], segments[b])[0][-1]. Attention runs over every position as
-    stacked (B, L, d) matmuls, whose slices equal the per-user 2-D products.
-    Only the final position is read, so on the last layer W^S and the FFN run
-    on it alone as one (B, d) matmul: the rows of a matmul with at least two
-    rows do not depend on how many it has. At L = 1 that would be a one-row
-    product per user, which takes another BLAS path, so the last layer keeps
-    the stacked per-position form; for the same reason a single row must run
-    the per-user forward. No caches are kept.
+    items[b], segments[b])[0][-1]. Every layer but the last runs attention
+    over every position as stacked (B, L, d) matmuls, whose slices equal the
+    per-user 2-D products. Only the final position is read, so on the last
+    layer the softmax and the weighted sum run on the final two queries, and
+    W^S and the FFN on the final one as one (B, d) matmul: softmax is
+    row-wise, and the rows of a matmul with at least two rows do not depend
+    on how many it has. The score product q k^T stays full, because its rows
+    do depend on the query count. At L = 1 these would be one-row products,
+    which take another BLAS path, so the last layer keeps the stacked
+    per-position form; for the same reason a single row must run the
+    per-user forward. No caches are kept.
     """
     items = np.asarray(items)
     segments = np.asarray(segments)
@@ -353,20 +368,27 @@ def last_hidden(params: ModelParams, users, items, segments) -> np.ndarray:
     h = embed_input(params, np.asarray(users), items, segments)
     last = params.hyper.n_layers - 1
     for l in range(last + 1):
-        att_concat = _attention(params, l, h)[-1]
         if l == last and h.shape[1] > 1:
-            att_concat = att_concat[:, -1]
+            att_concat = _attention(params, l, h, rows=2)[-1][:, -1]
+        else:
+            att_concat = _attention(params, l, h)[-1]
         h = _block_output(params, l, att_concat)[-1]
     return h if h.ndim == 2 else h[:, -1]
 
 
 def score_items(params: ModelParams, h: np.ndarray, scorer: str) -> np.ndarray:
-    """Logits over the whole catalog from a single hidden state."""
+    """Logits over the whole catalog from one hidden state (d,), or from a
+    block of them (B, d) as (B, V). Both run numpy's (stacked)
+    matrix-vector product, one W @ h per row, so each row of a block is
+    bit-identical to scoring that state alone; a (B, d) @ (d, V) matmul would
+    not be."""
     if scorer == SCORER_TIED_EMB:
-        return params["W_e"].value @ h
-    if scorer == SCORER_OUTPUT_LAYER:
-        return params["W_l"].value @ h
-    raise ValueError(f"unknown scorer {scorer!r}")
+        w = params["W_e"].value
+    elif scorer == SCORER_OUTPUT_LAYER:
+        w = params["W_l"].value
+    else:
+        raise ValueError(f"unknown scorer {scorer!r}")
+    return (w @ h[..., None])[..., 0]
 
 
 def rank_items(logits: np.ndarray, k: int, exclude=None) -> np.ndarray:

@@ -26,6 +26,10 @@ class RecallResult:
 # d = 64, and whole buckets of long rows would raise peak memory
 CHUNK_POSITIONS = 512
 
+# bytes of logits per scoring call: a block of rows scores together, and a
+# whole batch of catalog-wide rows at once would raise peak memory
+SCORE_BLOCK_BYTES = 1 << 20
+
 
 def real_items(seq, segments) -> set[int]:
     return {int(v) for v, s in zip(seq, segments) if s == REAL}
@@ -39,16 +43,18 @@ def _tagged(seq, segments) -> tuple[list, list]:
 
 def final_hidden(params: ModelParams, users, rows) -> np.ndarray:
     """Hidden state at the last position of each row's final max_len items,
-    (len(rows), d) in input order; rows are (items, segments) pairs.
+    (len(rows), d) in input order; rows are (items, segments) pairs of lists
+    or 1-D arrays (a (2, n) array is one such pair), which truncation
+    slices without copying.
 
     Rows of equal truncated length run together through model.last_hidden,
-    at most CHUNK_POSITIONS positions per call, so row b is bit-identical to
+    at most CHUNK_POSITIONS positions per call, each call's (B, L) items and
+    segments built by one np.array, so row b is bit-identical to
     forward(params, users[b], *truncated rows[b])[0][-1]. A lone row runs
     that per-user forward: last_hidden needs two rows or more."""
-    cut = [truncate_last(list(items), list(segments), params.hyper.max_len)
-           for items, segments in rows]
+    cut = [truncate_last(items, segments, params.hyper.max_len) for items, segments in rows]
     for i, (items, _) in enumerate(cut):
-        if not items:
+        if not len(items):
             raise ValueError(f"row {i}: no hidden state for an empty sequence")
     out = np.empty((len(rows), params.hyper.d), dtype=params.dtype)
     for chunk in length_groups([len(items) for items, _ in cut], CHUNK_POSITIONS):
@@ -56,8 +62,18 @@ def final_hidden(params: ModelParams, users, rows) -> np.ndarray:
             out[chunk] = forward(params, users[chunk[0]], *cut[chunk[0]])[0][-1]
         else:
             out[chunk] = last_hidden(params, [users[i] for i in chunk],
-                                     [cut[i][0] for i in chunk], [cut[i][1] for i in chunk])
+                                     np.array([cut[i][0] for i in chunk]),
+                                     np.array([cut[i][1] for i in chunk]))
     return out
+
+
+def scored_blocks(params: ModelParams, hidden: np.ndarray, scorer: str):
+    """(start, logits) per block of hidden's rows, logits being
+    score_items of hidden[start:start + len(logits)], each block's at most
+    SCORE_BLOCK_BYTES (and at least one row)."""
+    rows = max(1, SCORE_BLOCK_BYTES // (params.n_items * hidden.itemsize))
+    for start in range(0, len(hidden), rows):
+        yield start, score_items(params, hidden[start:start + rows], scorer)
 
 
 def greedy_steps(params: ModelParams, users, rows, scorer: str) -> tuple[np.ndarray, list[int]]:
@@ -65,23 +81,26 @@ def greedy_steps(params: ModelParams, users, rows, scorer: str) -> tuple[np.ndar
     row's top-scoring item. np.argmax takes the lowest index among tied
     maxima, the same item as rank_items(logits, 1)[0]."""
     hidden = final_hidden(params, users, rows)
-    return hidden, [int(np.argmax(score_items(params, h, scorer))) for h in hidden]
+    return hidden, [pick for _, logits in scored_blocks(params, hidden, scorer)
+                    for pick in np.argmax(logits, axis=1).tolist()]
 
 
 def _ranked(params: ModelParams, users, rows, k: int, scorer: str, filter_history: bool,
             exclude=None) -> list[RecallResult]:
     """Each row's top-k by logit from its final hidden state, tagged STEP1,
     skipping exclude[b] when given and, with filter_history, the row's real
-    items. Each row is scored alone, so no rows x items logits array is held."""
+    items. Rows are scored in blocks (scored_blocks), so no rows x items
+    logits array is held."""
     out = []
-    for b, ((seq, segments), h) in enumerate(zip(rows, final_hidden(params, users, rows))):
-        logits = score_items(params, h, scorer)
-        skip = set() if exclude is None else {int(i) for i in exclude[b]}
-        # history filtering excludes real interactions only, never prompt items
-        if filter_history:
-            skip |= real_items(seq, segments)
-        top = rank_items(logits, k, exclude=skip)
-        out.append(RecallResult(users[b], top, logits[top], [STEP1] * len(top)))
+    for start, logits in scored_blocks(params, final_hidden(params, users, rows), scorer):
+        for b, row_logits in enumerate(logits, start):
+            seq, segments = rows[b]
+            skip = set() if exclude is None else {int(i) for i in exclude[b]}
+            # history filtering excludes real interactions only, never prompt items
+            if filter_history:
+                skip |= real_items(seq, segments)
+            top = rank_items(row_logits, k, exclude=skip)
+            out.append(RecallResult(users[b], top, row_logits[top], [STEP1] * len(top)))
     return out
 
 

@@ -260,25 +260,30 @@ def extend_prompt_rows(params: ModelParams, users, rows: list[PromptEnhancedSequ
     row steps in lockstep, one greedy step for all rows at a time. Each step
     sees only the items already placed in its row, so extending
     generate_prompts(seq) by new_items gives exactly
-    generate_prompts(seq + new_items)."""
+    generate_prompts(seq + new_items).
+
+    Each row grows in place in a (2, n) int64 buffer of items over
+    segments, n being its final length, and each step reads views of them."""
     if K < 0:
         raise TrainingError("K must be >= 0")
-    items = [list(p.items) for p in rows]
-    segments = [list(p.segments) for p in rows]
+    ends = [len(p.items) for p in rows]
+    bufs = [np.zeros((2, end + (K + 1) * len(new)), dtype=np.int64)
+            for end, new in zip(ends, new_items)]
+    for buf, p, end in zip(bufs, rows, ends):
+        buf[:, :end] = p.items, p.segments
     for t in range(max(map(len, new_items), default=0)):
         placing = [i for i, new in enumerate(new_items) if t < len(new)]
-        prompted = [i for i in placing if items[i]]
+        prompted = [i for i in placing if ends[i]]
         for _ in range(K if prompted else 0):
             _, picks = greedy_steps(params, [users[i] for i in prompted],
-                                    [(items[i], segments[i]) for i in prompted],
-                                    SCORER_OUTPUT_LAYER)
+                                    [bufs[i][:, :ends[i]] for i in prompted], SCORER_OUTPUT_LAYER)
             for i, v in zip(prompted, picks):
-                items[i].append(v)
-                segments[i].append(PROMPT)
+                bufs[i][:, ends[i]] = v, PROMPT
+                ends[i] += 1
         for i in placing:
-            items[i].append(int(new_items[i][t]))
-            segments[i].append(REAL)
-    return [PromptEnhancedSequence(i, s) for i, s in zip(items, segments)]
+            bufs[i][:, ends[i]] = new_items[i][t], REAL
+            ends[i] += 1
+    return [PromptEnhancedSequence(*buf[:, :end].tolist()) for buf, end in zip(bufs, ends)]
 
 
 def generate_prompts(params: ModelParams, user: int, seq, K: int) -> PromptEnhancedSequence:

@@ -41,7 +41,7 @@ from recgpt.model import (
     last_hidden,
     score_items,
 )
-from recgpt.numerics import AdamState, NumericsError, adam_step
+from recgpt.numerics import AdamState, NumericsError, adam_step, causal_mask, masked_softmax
 from recgpt.recall import (
     CHUNK_POSITIONS,
     RecallResult,
@@ -104,9 +104,16 @@ def _rows(rng, lengths):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_blas_stacked_and_row_count_independent_matmul(dtype):
     """A stacked (B, L, d) @ W equals the per-slice 2-D matmul, and the rows
-    of a matmul with two or more rows do not depend on how many it has. If
-    the installed BLAS breaks either, batched inference no longer reproduces
-    the per-user forward, and checkpoint and CSV bytes would change."""
+    of a matmul with two or more rows do not depend on how many it has. So
+    the softmax (row-wise) and the weighted sum of the final two queries
+    equal the last rows of the full ones, and the stacked matrix-vector
+    product equals one W @ h per row. If the installed BLAS breaks any of
+    these, batched inference no longer reproduces the per-user forward, and
+    checkpoint and CSV bytes would change.
+
+    The rows of the score product q @ k^T are not among these facts: at
+    d = 64 and L = 50 they depend on how many queries it has, so last_hidden
+    forms it over every query."""
     rng = np.random.default_rng(0)
     for d, e in ((4, 4), (8, 32), (16, 16), (64, 64), (64, 256), (256, 64)):
         w = rng.standard_normal((d, e)).astype(dtype)
@@ -120,6 +127,21 @@ def test_blas_stacked_and_row_count_independent_matmul(dtype):
         # the final position of every row, a strided (B, d) view, as last_hidden reads it
         assert np.array_equal(x[:, -1] @ w, stacked[:, -1])
         assert np.array_equal(x[:2, -1] @ w, stacked[:2, -1])
+        # a catalog of e items scored from each row's final position, as score_items does
+        catalog = rng.standard_normal((e, d)).astype(dtype)
+        block = np.matmul(catalog, x[:, -1, :, None])[..., 0]
+        for b in range(7):
+            assert np.array_equal(block[b], catalog @ x[b, -1])
+    for L in (2, 3, 17, 50):
+        scores = rng.standard_normal((7, L, L)).astype(dtype)
+        mask = causal_mask(L, dtype=dtype)
+        v = rng.standard_normal((7, L, 64)).astype(dtype)[..., :32]   # one head's strided slice
+        probs = masked_softmax(scores, mask)
+        out = probs @ v
+        for rows in range(2, L + 1):
+            last = masked_softmax(scores[:, -rows:], mask[-rows:])
+            assert np.array_equal(last, probs[:, -rows:])
+            assert np.array_equal(last @ v, out[:, -rows:])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +156,25 @@ def test_blas_stacked_and_row_count_independent_matmul(dtype):
 @example(B=40, L=6, n_layers=2, n_heads=2, d=16, dtype=np.float64, seed=2)
 def test_last_position_forward_equals_per_user_forward(B, L, n_layers, n_heads, d, dtype,
                                                        seed):
-    params = _params(seed, max_len=6, dtype=dtype, n_layers=n_layers, n_heads=n_heads, d=d)
+    _check_last_position(B, L, n_layers, n_heads, d, dtype, seed, max_len=6)
+
+
+@given(B=st.integers(2, 30), L=st.integers(1, 50), n_layers=st.integers(1, 2),
+       n_heads=st.sampled_from([1, 2]), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 3))
+@example(B=30, L=50, n_layers=1, n_heads=1, dtype=np.float32, seed=0)
+@example(B=2, L=2, n_layers=2, n_heads=2, dtype=np.float32, seed=1)
+def test_last_position_forward_equals_per_user_forward_at_model_shapes(B, L, n_layers, n_heads,
+                                                                       dtype, seed):
+    """The workloads' shapes, d = 64 and max_len 50: BLAS takes other paths
+    there than at the small shapes above, and a score product for the final
+    query alone differs from the full product's last row at some of them."""
+    _check_last_position(B, L, n_layers, n_heads, 64, dtype, seed, max_len=50)
+
+
+def _check_last_position(B, L, n_layers, n_heads, d, dtype, seed, max_len):
+    params = _params(seed, max_len=max_len, dtype=dtype, n_layers=n_layers, n_heads=n_heads,
+                     d=d)
     rng = np.random.default_rng(seed)
     users = rng.integers(0, 4, size=B)
     items = rng.integers(0, 10, size=(B, L))
@@ -161,20 +201,26 @@ def test_last_hidden_refuses_a_single_row():
 @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12),
        m=st.integers(1, 4), n=st.integers(0, 2), filter_history=st.booleans(),
        ties=st.booleans(), scorer=st.sampled_from([SCORER_TIED_EMB, SCORER_OUTPUT_LAYER]),
-       seed=st.integers(0, 3))
+       block_rows=st.sampled_from([1, 2, 5, 64]), seed=st.integers(0, 3))
 @example(lengths=[9, 9, 9], m=3, n=2, filter_history=True, ties=True,
-         scorer=SCORER_OUTPUT_LAYER, seed=0)
-@example(lengths=[1], m=1, n=1, filter_history=False, ties=True, scorer=SCORER_TIED_EMB, seed=1)
+         scorer=SCORER_OUTPUT_LAYER, block_rows=2, seed=0)
+@example(lengths=[1], m=1, n=1, filter_history=False, ties=True, scorer=SCORER_TIED_EMB,
+         block_rows=64, seed=1)
 def test_batched_recall_and_greedy_steps_equal_the_per_user_path(lengths, m, n, filter_history,
-                                                                 ties, scorer, seed):
+                                                                 ties, scorer, block_rows, seed):
     # max_len 5 under lengths up to 9: truncation shifts positions, and the
-    # appended step-2 prompt moves a row into the next length bucket
+    # appended step-2 prompt moves a row into the next length bucket; rows
+    # are scored in blocks of block_rows (64: all in one block)
     params = _params(seed, ties=ties)
     rng = np.random.default_rng(seed)
     rows = _rows(rng, lengths)
     users = [i % 4 for i in range(len(rows))]
+    block_bytes = block_rows * params.n_items * params["W_e"].value.itemsize
 
-    [results] = recall_grid(params, users, rows, [(m, n)], scorer, filter_history=filter_history)
+    with mock.patch.object(recgpt.recall, "SCORE_BLOCK_BYTES", block_bytes):
+        [results] = recall_grid(params, users, rows, [(m, n)], scorer,
+                                filter_history=filter_history)
+        hidden, picks = greedy_steps(params, users, rows, scorer)
     assert [r.user for r in results] == users
     for user, (seq, segments), res in zip(users, rows, results):
         items, scores, prov = two_step_recall(forward_states, params, user, seq, segments, m,
@@ -184,7 +230,6 @@ def test_batched_recall_and_greedy_steps_equal_the_per_user_path(lengths, m, n, 
                               filter_history=filter_history)
         assert np.array_equal(one.items, res.items) and np.array_equal(one.scores, res.scores)
 
-    hidden, picks = greedy_steps(params, users, rows, scorer)
     for user, (seq, segments), h, pick in zip(users, rows, hidden, picks):
         expected = ref_hidden(params, user, seq, segments)
         assert np.array_equal(h, expected)
@@ -235,15 +280,24 @@ def ragged():
 
 
 def test_prompt_cache_and_inputs_with_empty_and_short_prefixes(ragged):
+    """At the fixture's init scale the greedy argmax barely depends on the
+    window, so a wrong truncation goes unseen; a copy with every tensor
+    redrawn from N(0, 1) spreads it over the catalog."""
     ds, pre, _ = ragged
-    cache = generate_prompt_cache(ds, pre, 2)
-    assert [(p.items, p.segments) for p in cache] == \
-        [greedy_prompts(forward_states, pre, u, seq, 2) for u, seq in enumerate(ds.sequences)]
-    for split in ("valid", "test"):
-        rows = prompt_inputs(ds, split, pre, cache, 2)
-        assert [(p.items, p.segments) for p in rows] == \
-            [greedy_prompts(forward_states, pre, u, eval_input(ds, u, split), 2)
-             for u in range(ds.n_users)]
+    unit = pre.copy()
+    rng = np.random.default_rng(13)
+    for p in unit.parameters():
+        p.value = rng.standard_normal(p.value.shape).astype(unit.dtype)
+    for params in (pre, unit):
+        cache = generate_prompt_cache(ds, params, 2)
+        assert [(p.items, p.segments) for p in cache] == \
+            [greedy_prompts(forward_states, params, u, seq, 2)
+             for u, seq in enumerate(ds.sequences)]
+        for split in ("valid", "test"):
+            rows = prompt_inputs(ds, split, params, cache, 2)
+            assert [(p.items, p.segments) for p in rows] == \
+                [greedy_prompts(forward_states, params, u, eval_input(ds, u, split), 2)
+                 for u in range(ds.n_users)]
 
 
 @pytest.mark.parametrize("split", ["valid", "test"])

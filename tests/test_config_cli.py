@@ -789,6 +789,28 @@ def test_stages_refuse_a_model_with_non_finite_weights(prompt_run, tmp_path, sta
     assert f"{name}: tensor W_l holds non-finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage,name,command", [
+    ("gen-prompts", "pretrain.ckpt", "recgpt pretrain --force"),
+    ("eval", "tuned_K1.ckpt", "recgpt tune --k 1 --force"),
+])
+def test_stages_refuse_a_model_with_an_undeclared_tensor(prompt_run, tmp_path, stage, name,
+                                                         command, capsys):
+    """A model checkpoint written by another architecture (say, one with a
+    tensor this model has dropped) is refused, not loaded without it."""
+    import numpy as np
+
+    def extra_tensor(tensors, meta):
+        tensors["W_old"] = np.zeros((3, 4), dtype=np.float32)
+
+    cfg_path, run = prompt_run
+    dest = _copy_run(run, tmp_path, cfg_path, EVAL_INPUTS + ("prompts_K1.ckpt",))
+    _resave(dest / name, extra_tensor)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path), "--force"]) == 3
+    err = capsys.readouterr().err
+    assert f"{name}: checkpoint holds undeclared tensors ['W_old']" in err
+    assert err.rstrip().endswith(f"rebuild it with `{command}`")
+
+
 @pytest.mark.parametrize("name,stage,command", [
     ("dataset.ckpt", "pretrain", "recgpt preprocess --force"),
     ("pretrain.ckpt", "gen-prompts", "recgpt pretrain --force"),
